@@ -2,9 +2,10 @@
 //!
 //! Runs fixed paper-scale workloads (the five router configurations of
 //! the paper on their 256-node networks, uniform traffic) through every
-//! engine stepper — the active-set default ([`Engine::run`]), the
-//! struct-of-arrays hot path ([`Engine::run_soa`]), the event-wheel
-//! stepper ([`Engine::run_wheel`]) and the naive scan-everything
+//! engine stepper — the default mask scans over the lane banks
+//! ([`Engine::run`]), the event-wheel stepper ([`Engine::run_wheel`]),
+//! the wheel composed with a 4-shard plan
+//! ([`Engine::run_wheel_sharded`]) and the naive scan-everything
 //! reference ([`Engine::run_reference`]) — measuring wall-clock
 //! throughput of each: simulated cycles per second and flit-moves per
 //! second. All steppers are asserted bit-identical before their numbers
@@ -13,9 +14,9 @@
 //!
 //! Measurement discipline: per (configuration, load) point, one untimed
 //! warm-up round followed by a fixed number of timed rounds, each round
-//! running every stepper once *interleaved* (active, soa, soa with the
-//! scalar scan fallback forced, wheel, wheel composed with a 4-shard
-//! plan, baseline, traced); the reported time per stepper is the
+//! running every stepper once *interleaved* (soa, wheel, wheel composed
+//! with a 4-shard plan, baseline, traced); the reported time per
+//! stepper is the
 //! minimum over the timed rounds. Interleaving spreads machine-level slow spells
 //! (frequency steps, co-tenant scheduler stalls — multi-second events
 //! on small shared boxes) across all steppers instead of letting one
@@ -24,18 +25,18 @@
 //!
 //! Writes `BENCH_engine.json` (override with `--out <path>`): one
 //! record per (configuration, offered load) with all stepper rates side
-//! by side and their ratios. Low loads are where the active sets and
+//! by side and their ratios. Low loads are where the worklists and
 //! the event wheel pay off (most routers idle); saturation shows the
 //! bounded overhead when nearly everything is active.
 //!
 //! A separate fault-drain-tail section times the regime the event
 //! wheel targets: a finite injection burst at load 0.3 on a network
 //! with 3% dead links, followed by a long quiet tail in which the
-//! active-set stepper still ticks every injection process each cycle
-//! while the wheel skips whole idle cycles (active/soa/wheel/
-//! wheel-sharded legs, same discipline).
+//! default stepper still ticks every injection process each cycle
+//! while the wheel skips whole idle cycles (soa/wheel/wheel-sharded
+//! legs, same discipline).
 //!
-//! A traced leg per point drives the active stepper with a recording
+//! A traced leg per point drives the default stepper with a recording
 //! [`FlightRecorder`] probe (stride-100 utilization sampling, event log
 //! off) and reports `probe_overhead` — the wall-clock cost of live
 //! telemetry relative to the default `NullProbe` build.
@@ -73,20 +74,15 @@ struct Sample {
     load: f64,
     cycles: u32,
     flit_moves: u64,
-    /// Active-set stepper (the default build).
+    /// Default (soa) stepper.
     opt_secs: f64,
-    /// Struct-of-arrays stepper (SIMD mask scans, the default build).
-    soa_secs: f64,
-    /// Struct-of-arrays stepper with the scalar scan fallback forced
-    /// at runtime (what the `scalar-scan` feature builds).
-    soa_scalar_secs: f64,
     /// Event-wheel stepper.
     wheel_secs: f64,
     /// Event-wheel stepper composed with a 4-shard plan.
     wheel_sharded_secs: f64,
     /// Naive full-scan reference stepper (dynamic dispatch).
     ref_secs: f64,
-    /// Active stepper with a recording probe attached.
+    /// Default stepper with a recording probe attached.
     traced_secs: f64,
 }
 
@@ -103,32 +99,21 @@ impl Sample {
     fn ref_moves_per_sec(&self) -> f64 {
         self.flit_moves as f64 / self.ref_secs
     }
-    fn soa_cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.soa_secs
-    }
     fn wheel_cycles_per_sec(&self) -> f64 {
         self.cycles as f64 / self.wheel_secs
     }
     fn traced_cycles_per_sec(&self) -> f64 {
         self.cycles as f64 / self.traced_secs
     }
-    /// Active-set stepper vs the naive reference (the historical ratio).
+    /// Default stepper vs the naive reference (the historical ratio).
     fn speedup(&self) -> f64 {
         self.ref_secs / self.opt_secs
     }
-    /// SoA stepper vs the active-set stepper.
-    fn soa_speedup(&self) -> f64 {
-        self.opt_secs / self.soa_secs
-    }
-    /// Event-wheel stepper vs the active-set stepper.
+    /// Event-wheel stepper vs the default stepper.
     fn wheel_speedup(&self) -> f64 {
         self.opt_secs / self.wheel_secs
     }
-    /// SIMD mask scans vs the forced scalar fallback (both SoA).
-    fn simd_speedup(&self) -> f64 {
-        self.soa_scalar_secs / self.soa_secs
-    }
-    /// Wheel×shards composition vs the active-set stepper.
+    /// Wheel×shards composition vs the default stepper.
     fn wheel_sharded_speedup(&self) -> f64 {
         self.opt_secs / self.wheel_sharded_secs
     }
@@ -186,11 +171,9 @@ fn recorder_for<A: RoutingAlgorithm + ?Sized>(algo: &A) -> FlightRecorder {
     )
 }
 
-/// All seven timed legs of one (configuration, load) point.
+/// All five timed legs of one (configuration, load) point.
 struct PointTiming {
     opt_secs: f64,
-    soa_secs: f64,
-    soa_scalar_secs: f64,
     wheel_secs: f64,
     wheel_sharded_secs: f64,
     ref_secs: f64,
@@ -213,7 +196,7 @@ impl SpecVisitor for TimePoint<'_> {
     fn visit<A: RoutingAlgorithm>(self, algo: A) -> PointTiming {
         let (cfg, cycles) = (self.cfg, self.cycles);
         let dyn_algo: &dyn RoutingAlgorithm = &algo;
-        let mut secs = [f64::INFINITY; 7];
+        let mut secs = [f64::INFINITY; 5];
         let mut counters: Option<Counters> = None;
         // Round 0 is the untimed warm-up: page faults, allocator growth
         // and frequency ramp-up land there, not in a timed round.
@@ -229,30 +212,17 @@ impl SpecVisitor for TimePoint<'_> {
                     1 => {
                         let mut eng = build_engine(&algo, cfg);
                         let start = Instant::now();
-                        eng.run_soa(cycles);
-                        (start.elapsed().as_secs_f64(), eng.counters())
-                    }
-                    2 => {
-                        let mut eng = build_engine(&algo, cfg);
-                        eng.set_scalar_scan(true);
-                        let start = Instant::now();
-                        eng.run_soa(cycles);
-                        (start.elapsed().as_secs_f64(), eng.counters())
-                    }
-                    3 => {
-                        let mut eng = build_engine(&algo, cfg);
-                        let start = Instant::now();
                         eng.run_wheel(cycles);
                         (start.elapsed().as_secs_f64(), eng.counters())
                     }
-                    4 => {
+                    2 => {
                         let mut eng = build_engine(&algo, cfg);
                         let mut plan = eng.shard_plan(4, 2);
                         let start = Instant::now();
                         eng.run_wheel_sharded(cycles, &mut plan);
                         (start.elapsed().as_secs_f64(), eng.counters())
                     }
-                    5 => {
+                    3 => {
                         let mut eng = build_engine(dyn_algo, cfg);
                         let start = Instant::now();
                         eng.run_reference(cycles);
@@ -278,12 +248,10 @@ impl SpecVisitor for TimePoint<'_> {
         }
         PointTiming {
             opt_secs: secs[0],
-            soa_secs: secs[1],
-            soa_scalar_secs: secs[2],
-            wheel_secs: secs[3],
-            wheel_sharded_secs: secs[4],
-            ref_secs: secs[5],
-            traced_secs: secs[6],
+            wheel_secs: secs[1],
+            wheel_sharded_secs: secs[2],
+            ref_secs: secs[3],
+            traced_secs: secs[4],
             counters: counters.expect("at least one round ran"),
         }
     }
@@ -317,20 +285,19 @@ impl InjectionProcess for Burst {
     }
 }
 
-/// The four timed legs of one drain-tail point.
+/// The three timed legs of one drain-tail point.
 struct DrainTiming {
     opt_secs: f64,
-    soa_secs: f64,
     wheel_secs: f64,
     wheel_sharded_secs: f64,
     counters: Counters,
 }
 
 /// Times the fault-drain-tail workload: a finite injection burst on a
-/// faulted network, then a long quiet tail in which the active-set
+/// faulted network, then a long quiet tail in which the default
 /// stepper still ticks every node's injection process each cycle while
 /// the event wheel skips whole idle cycles. Same interleaved min-of-N
-/// discipline as [`TimePoint`]; active/soa/wheel/wheel-sharded legs.
+/// discipline as [`TimePoint`]; soa/wheel/wheel-sharded legs.
 struct TimeDrain<'c> {
     cfg: &'c SimConfig,
     burst: u32,
@@ -357,7 +324,7 @@ impl SpecVisitor for TimeDrain<'_> {
                 rate,
             }) as Box<dyn InjectionProcess>
         };
-        let mut secs = [f64::INFINITY; 4];
+        let mut secs = [f64::INFINITY; 3];
         let mut counters: Option<Counters> = None;
         for round in 0..=self.rounds {
             for (leg, best) in secs.iter_mut().enumerate() {
@@ -374,12 +341,11 @@ impl SpecVisitor for TimeDrain<'_> {
                 );
                 eng.set_injection_limit(cfg.injection_limit);
                 eng.set_request_reply(cfg.request_reply);
-                let mut plan = (leg == 3).then(|| eng.shard_plan(4, 2));
+                let mut plan = (leg == 2).then(|| eng.shard_plan(4, 2));
                 let start = Instant::now();
                 match leg {
                     0 => eng.run(self.cycles),
-                    1 => eng.run_soa(self.cycles),
-                    2 => eng.run_wheel(self.cycles),
+                    1 => eng.run_wheel(self.cycles),
                     _ => eng.run_wheel_sharded(self.cycles, plan.as_mut().expect("plan built")),
                 }
                 let s = start.elapsed().as_secs_f64();
@@ -395,9 +361,8 @@ impl SpecVisitor for TimeDrain<'_> {
         }
         DrainTiming {
             opt_secs: secs[0],
-            soa_secs: secs[1],
-            wheel_secs: secs[2],
-            wheel_sharded_secs: secs[3],
+            wheel_secs: secs[1],
+            wheel_sharded_secs: secs[2],
             counters: counters.expect("at least one round ran"),
         }
     }
@@ -412,15 +377,11 @@ struct DrainSample {
     flit_moves: u64,
     dropped: u64,
     opt_secs: f64,
-    soa_secs: f64,
     wheel_secs: f64,
     wheel_sharded_secs: f64,
 }
 
 impl DrainSample {
-    fn soa_speedup(&self) -> f64 {
-        self.opt_secs / self.soa_secs
-    }
     fn wheel_speedup(&self) -> f64 {
         self.opt_secs / self.wheel_secs
     }
@@ -484,22 +445,18 @@ fn main() {
                 cycles,
                 flit_moves: t.counters.flit_moves,
                 opt_secs: t.opt_secs,
-                soa_secs: t.soa_secs,
-                soa_scalar_secs: t.soa_scalar_secs,
                 wheel_secs: t.wheel_secs,
                 wheel_sharded_secs: t.wheel_sharded_secs,
                 ref_secs: t.ref_secs,
                 traced_secs: t.traced_secs,
             };
             eprintln!(
-                "{:22} load {:4.2}: {:>6.2} Mcycles/s | soa {:4.2}x (simd {:4.2}x) \
+                "{:22} load {:4.2}: {:>6.2} Mcycles/s | \
                  wheel {:4.2}x wheel+4sh {:4.2}x | {:4.2}x vs naive, {:>7.2} Mmoves/s, \
                  probe {:+5.1}%",
                 s.label,
                 s.load,
                 s.opt_cycles_per_sec() / 1e6,
-                s.soa_speedup(),
-                s.simd_speedup(),
                 s.wheel_speedup(),
                 s.wheel_sharded_speedup(),
                 s.speedup(),
@@ -512,7 +469,7 @@ fn main() {
 
     // Fault-drain-tail points: a finite burst at load 0.3 on a network
     // with 3% dead links, then a quiet tail. The tail is where the
-    // event wheel's idle-cycle skipping dominates: the active-set
+    // event wheel's idle-cycle skipping dominates: the default
     // stepper still ticks every node's injection process each cycle.
     let (drain_burst, drain_cycles) = if quick { (300, 2_000) } else { (2_000, 20_000) };
     let mut drains = Vec::new();
@@ -532,16 +489,14 @@ fn main() {
             flit_moves: t.counters.flit_moves,
             dropped: t.counters.dropped_packets,
             opt_secs: t.opt_secs,
-            soa_secs: t.soa_secs,
             wheel_secs: t.wheel_secs,
             wheel_sharded_secs: t.wheel_sharded_secs,
         };
         eprintln!(
-            "{:22} drain tail : {:>6.2} Mcycles/s | soa {:4.2}x wheel {:4.2}x \
+            "{:22} drain tail : {:>6.2} Mcycles/s | wheel {:4.2}x \
              wheel+4sh {:4.2}x | {} dropped",
             d.label,
             d.cycles as f64 / d.opt_secs / 1e6,
-            d.soa_speedup(),
             d.wheel_speedup(),
             d.wheel_sharded_speedup(),
             d.dropped,
@@ -560,34 +515,22 @@ fn main() {
     // not (saturation).
     let wheel_low = mean(&|s| s.wheel_speedup(), &|s| s.load == 0.1);
     let wheel_sat = mean(&|s| s.wheel_speedup(), &|s| s.load == 1.0);
-    let soa_low = mean(&|s| s.soa_speedup(), &|s| s.load == 0.1);
-    let soa_sat = mean(&|s| s.soa_speedup(), &|s| s.load == 1.0);
-    let simd_low = mean(&|s| s.simd_speedup(), &|s| s.load == 0.1);
-    let simd_sat = mean(&|s| s.simd_speedup(), &|s| s.load == 1.0);
     let wheel_sharded_low = mean(&|s| s.wheel_sharded_speedup(), &|s| s.load == 0.1);
     let wheel_sharded_sat = mean(&|s| s.wheel_sharded_speedup(), &|s| s.load == 1.0);
     let wheel_drain =
         drains.iter().map(DrainSample::wheel_speedup).sum::<f64>() / drains.len() as f64;
-    let soa_drain = drains.iter().map(DrainSample::soa_speedup).sum::<f64>() / drains.len() as f64;
     let wheel_sharded_drain = drains
         .iter()
         .map(DrainSample::wheel_sharded_speedup)
         .sum::<f64>()
         / drains.len() as f64;
-    eprintln!("mean active-vs-naive speedup over low-load (<=0.3) points: {low_speedup:.2}x");
+    eprintln!("mean soa-vs-naive speedup over low-load (<=0.3) points: {low_speedup:.2}x");
     eprintln!(
-        "wheel vs active: {wheel_low:.2}x at load 0.1, {wheel_sat:.2}x at saturation, \
+        "wheel vs soa: {wheel_low:.2}x at load 0.1, {wheel_sat:.2}x at saturation, \
          {wheel_drain:.2}x on fault-drain tails"
     );
     eprintln!(
-        "soa   vs active: {soa_low:.2}x at load 0.1, {soa_sat:.2}x at saturation, \
-         {soa_drain:.2}x on fault-drain tails"
-    );
-    eprintln!(
-        "simd vs scalar scans (soa): {simd_low:.2}x at load 0.1, {simd_sat:.2}x at saturation"
-    );
-    eprintln!(
-        "wheel+4shards vs active: {wheel_sharded_low:.2}x at load 0.1, \
+        "wheel+4shards vs soa: {wheel_sharded_low:.2}x at load 0.1, \
          {wheel_sharded_sat:.2}x at saturation, {wheel_sharded_drain:.2}x on fault-drain tails"
     );
     eprintln!("mean recording-probe overhead: {:+.1}%", mean_probe * 100.0);
@@ -598,11 +541,6 @@ fn main() {
         wheel_low,
         wheel_sat,
         wheel_drain,
-        soa_low,
-        soa_sat,
-        soa_drain,
-        simd_low,
-        simd_sat,
         wheel_sharded_low,
         wheel_sharded_sat,
         wheel_sharded_drain,
@@ -619,11 +557,6 @@ struct Summary {
     wheel_low: f64,
     wheel_sat: f64,
     wheel_drain: f64,
-    soa_low: f64,
-    soa_sat: f64,
-    soa_drain: f64,
-    simd_low: f64,
-    simd_sat: f64,
     wheel_sharded_low: f64,
     wheel_sharded_sat: f64,
     wheel_sharded_drain: f64,
@@ -634,7 +567,7 @@ struct Summary {
 fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String {
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"benchmark\": \"engine steppers (active-set, soa, wheel) vs naive full-scan baseline\",\n");
+    j.push_str("  \"benchmark\": \"engine steppers (soa, wheel, wheel-sharded) vs naive full-scan baseline\",\n");
     j.push_str("  \"workload\": \"paper-scale (256-node) configurations, uniform traffic\",\n");
     j.push_str("  \"units\": { \"rates\": \"per wall-clock second\" },\n");
     j.push_str(
@@ -643,8 +576,7 @@ fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String 
     );
     j.push_str(
         "  \"protocol\": \"per (config, load): one untimed interleaved warm-up round, then \
-         timed rounds cycling active -> soa -> soa-scalar -> wheel -> wheel-sharded(4) -> \
-         baseline -> traced; reported time is the per-leg minimum over the timed rounds \
+         timed rounds cycling soa -> wheel -> wheel-sharded(4) -> baseline -> traced; reported time is the per-leg minimum over the timed rounds \
          (interleaving + min reject machine-level slow spells that displace a sequential \
          median); probe_overhead is floored at 0 (a negative min-of-N difference is noise, \
          not a speedup)\",\n",
@@ -656,15 +588,6 @@ fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String 
     let _ = writeln!(j, "  \"wheel_low_load_speedup\": {:.3},", sum.wheel_low);
     let _ = writeln!(j, "  \"wheel_saturation_speedup\": {:.3},", sum.wheel_sat);
     let _ = writeln!(j, "  \"wheel_drain_tail_speedup\": {:.3},", sum.wheel_drain);
-    let _ = writeln!(j, "  \"soa_low_load_speedup\": {:.3},", sum.soa_low);
-    let _ = writeln!(j, "  \"soa_saturation_speedup\": {:.3},", sum.soa_sat);
-    let _ = writeln!(j, "  \"soa_drain_tail_speedup\": {:.3},", sum.soa_drain);
-    let _ = writeln!(j, "  \"simd_scan_low_load_speedup\": {:.3},", sum.simd_low);
-    let _ = writeln!(
-        j,
-        "  \"simd_scan_saturation_speedup\": {:.3},",
-        sum.simd_sat
-    );
     let _ = writeln!(
         j,
         "  \"wheel_sharded_low_load_speedup\": {:.3},",
@@ -687,10 +610,8 @@ fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String 
             "    {{ \"config\": {:?}, \"offered_load\": {}, \"cycles\": {}, \
              \"flit_moves\": {}, \
              \"optimized\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \"flit_moves_per_sec\": {:.0} }}, \
-             \"soa\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \"speedup_vs_active\": {:.3} }}, \
-             \"soa_scalar\": {{ \"seconds\": {:.6}, \"simd_speedup\": {:.3} }}, \
-             \"wheel\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \"speedup_vs_active\": {:.3} }}, \
-             \"wheel_sharded\": {{ \"seconds\": {:.6}, \"shards\": 4, \"speedup_vs_active\": {:.3} }}, \
+             \"wheel\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \"speedup_vs_soa\": {:.3} }}, \
+             \"wheel_sharded\": {{ \"seconds\": {:.6}, \"shards\": 4, \"speedup_vs_soa\": {:.3} }}, \
              \"baseline\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \"flit_moves_per_sec\": {:.0} }}, \
              \"traced\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0} }}, \
              \"speedup\": {:.3}, \"probe_overhead\": {:.4} }}",
@@ -701,11 +622,6 @@ fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String 
             s.opt_secs,
             s.opt_cycles_per_sec(),
             s.opt_moves_per_sec(),
-            s.soa_secs,
-            s.soa_cycles_per_sec(),
-            s.soa_speedup(),
-            s.soa_scalar_secs,
-            s.simd_speedup(),
             s.wheel_secs,
             s.wheel_cycles_per_sec(),
             s.wheel_speedup(),
@@ -725,17 +641,16 @@ fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String 
     j.push_str(
         "  \"drain_tail\": { \"workload\": \"finite uniform burst at load 0.3 on a network \
          with 3% dead links (default fault seed), then a quiet drain-and-idle tail; same \
-         interleaved min-of-N protocol, active/soa/wheel/wheel-sharded legs\",\n    \"runs\": [\n",
+         interleaved min-of-N protocol, soa/wheel/wheel-sharded legs\",\n    \"runs\": [\n",
     );
     for (i, d) in drains.iter().enumerate() {
         let _ = write!(
             j,
             "      {{ \"config\": {:?}, \"burst_cycles\": {}, \"cycles\": {}, \
              \"flit_moves\": {}, \"dropped_packets\": {}, \
-             \"active\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0} }}, \
-             \"soa\": {{ \"seconds\": {:.6}, \"speedup_vs_active\": {:.3} }}, \
-             \"wheel\": {{ \"seconds\": {:.6}, \"speedup_vs_active\": {:.3} }}, \
-             \"wheel_sharded\": {{ \"seconds\": {:.6}, \"shards\": 4, \"speedup_vs_active\": {:.3} }} }}",
+             \"soa\": {{ \"seconds\": {:.6}, \"cycles_per_sec\": {:.0} }}, \
+             \"wheel\": {{ \"seconds\": {:.6}, \"speedup_vs_soa\": {:.3} }}, \
+             \"wheel_sharded\": {{ \"seconds\": {:.6}, \"shards\": 4, \"speedup_vs_soa\": {:.3} }} }}",
             d.label,
             d.burst,
             d.cycles,
@@ -743,8 +658,6 @@ fn to_json(samples: &[Sample], drains: &[DrainSample], sum: &Summary) -> String 
             d.dropped,
             d.opt_secs,
             d.cycles as f64 / d.opt_secs,
-            d.soa_secs,
-            d.soa_speedup(),
             d.wheel_secs,
             d.wheel_speedup(),
             d.wheel_sharded_secs,

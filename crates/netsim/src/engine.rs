@@ -23,10 +23,13 @@
 //!    (source throttling) and streams one flit per cycle into the chosen
 //!    injection lane.
 //!
-//! # Performance architecture: active sets and lane masks
+//! # State layout: lane banks, worklists and lane masks
 //!
-//! The engine's per-cycle cost is proportional to *active* work, not to
-//! network size. Three mechanisms cooperate:
+//! The engine's resident state is one set of struct-of-arrays lane
+//! banks ([`soa::SoaBanks`]): every lane queue, credit counter, route
+//! and occupancy mask lives in a flat array indexed by router (or node)
+//! and lane. The per-cycle cost is proportional to *active* work, not
+//! to network size:
 //!
 //! * **Per-phase worklists** ([`crate::active::ActiveSet`]): the link,
 //!   crossbar and routing phases each walk a bitset of only the routers
@@ -35,47 +38,41 @@
 //!   input lane with an assigned crossbar path, an unrouted header) and
 //!   leaves when it drains, so idle routers cost exactly zero. The
 //!   injection-link loop keeps the analogous worklist over nodes.
-//! * **Occupancy lane masks**: alongside the pre-existing `pending`
-//!   (unrouted header at the front) and `out_bound` (crossbar path ends
-//!   here) masks, every router tracks `in_occ`/`out_occ` (non-empty
-//!   input/output lanes) and `routed` (lanes with an assigned output).
-//!   Phase inner loops walk set bits with `trailing_zeros` instead of
-//!   inspecting every `port × vc` lane.
+//! * **Occupancy lane masks**: `pending` (unrouted header at the
+//!   front), `out_bound` (crossbar path ends here), `in_occ`/`out_occ`
+//!   (non-empty input/output lanes) and `routed` (lanes with an assigned
+//!   output). Phase inner loops walk set bits with `trailing_zeros`
+//!   instead of inspecting every `port × vc` lane.
 //! * **Monomorphized routing dispatch**: [`Engine`] is generic over the
 //!   routing algorithm (defaulting to `dyn RoutingAlgorithm`, so the
 //!   boxed API keeps working); constructing it with a concrete algorithm
 //!   type lets the per-header `route` call inline into the routing phase.
 //!
-//! The optimization is *observably equivalent* to the naive
-//! scan-everything stepper by construction: both step functions drive
-//! the identical per-router handlers, worklists iterate in ascending id
-//! order (the same order as the naive scans — visit order is observable
-//! through the shared selection-policy RNG), and the reference stepper
-//! [`Engine::step_reference`] (kept for tests and benchmark baselines
-//! behind the `reference-engine` feature) maintains the same masks so
-//! the two can even be interleaved. `tests/engine_equivalence.rs` and
-//! the unit tests below assert bit-identical outcomes.
+//! # Steppers
 //!
-//! # Execution modes
+//! Every stepper is *observably equivalent*: the same counters, packet
+//! tables, shared selection-RNG consumption order and probe event
+//! streams. `tests/engine_equivalence.rs` and the unit tests assert it.
 //!
-//! Beyond the serial active-set stepper ([`Engine::step`]) and the
-//! scan-everything reference ([`Engine::step_reference`]), the engine
-//! offers two further execution modes, both bit-identical to the
-//! active-set stepper by the same visit-order argument:
+//! * **Default** ([`Engine::step`], module [`soa`]): the worklist-driven
+//!   mask scans over the banks.
+//! * **Reference** ([`Engine::step_reference`], behind the
+//!   `reference-engine` feature): the same per-lane handlers with every
+//!   mask-based early-out compiled away, visiting every router, node,
+//!   port and lane in the same order — the independent oracle.
+//! * **Wheel** ([`Engine::step_wheel`], module [`wheel`]): indexes future
+//!   injection-process firings by cycle in a calendar queue, so an idle
+//!   network fast-forwards over cycles whose wheel slot is empty.
+//! * **Sharded** ([`Engine::run_sharded`], module [`shard`]): domain
+//!   decomposition across worker threads. A sharded segment moves the
+//!   lane state out of the banks when it starts (per-router structs
+//!   for routes, credits and masks; per-shard views of the queues) and
+//!   folds it back when it ends.
 //!
-//! * **SoA** ([`Engine::step_soa`], module [`soa`]): lane queues,
-//!   credits and occupancy masks live in flat struct-of-arrays banks so
-//!   each phase becomes a chunked word-wide scan over a dense mask
-//!   array instead of a worklist walk over scattered router structs.
-//! * **Wheel** ([`Engine::step_wheel`], module [`wheel`]): rides on the
-//!   SoA banks and additionally indexes future injection-process
-//!   firings by cycle in a calendar queue, so an idle network
-//!   fast-forwards over cycles whose wheel slot is empty.
-//!
-//! Mode state is carried in `Option` side structures; any entry point
-//! that needs the canonical array-of-structs layout (the classic
-//! steppers, snapshots, invariant checks) first calls
-//! [`Engine::to_aos`], so the modes interleave freely.
+//! The wheel's scanned-ahead injection state is carried in an `Option`
+//! side structure; entry points that need the canonical per-node
+//! streams (the other steppers, snapshots) replay it away first, so the
+//! steppers interleave freely.
 //!
 //! A watchdog panics if flits are in flight but nothing has moved for
 //! a long time — with the deadlock-free routing functions of the
@@ -84,20 +81,18 @@
 #![deny(missing_docs)]
 
 pub mod shard;
-mod simd;
 pub mod snapshot;
 pub mod soa;
 pub mod wheel;
 
 use crate::active::ActiveSet;
 use crate::fault::{FaultModel, LinkFlip, NoFaults};
-use crate::flit::{Flit, PacketRec, HEAD, NEVER, TAIL};
-use crate::queue::FlitQueue;
+use crate::flit::{PacketRec, NEVER};
 use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
+use soa::SoaBanks;
 use std::collections::VecDeque;
-use telemetry::{LinkKind, NullProbe, Probe};
-use topology::{NodeId, RouterId};
+use telemetry::{NullProbe, Probe};
 use traffic::{InjectionProcess, Rng64, TrafficGen};
 
 /// Sentinel for "no route assigned".
@@ -115,38 +110,11 @@ const DROP_ROUTE: u32 = u32::MAX - 1;
 /// stall for at most a few round-trips of credit propagation.
 const WATCHDOG_CYCLES: u32 = 50_000;
 
-struct RouterState {
-    /// Input lanes, indexed `port * vcs + vc`.
-    in_q: Vec<FlitQueue>,
-    /// Assigned output lane per input lane (`NO_ROUTE` if none); applies
-    /// to the packet currently at the head of the lane.
-    in_route: Vec<u32>,
-    /// Output lanes, same indexing.
-    out_q: Vec<FlitQueue>,
-    /// Credits: free buffers in the downstream input lane.
-    out_credits: Vec<u8>,
-    /// Bitmask: whether a crossbar path currently ends at each output
-    /// lane (bit = lane index).
-    out_bound: u64,
-    /// Bitmask of output lanes on ports cabled to another router (used
-    /// by the limited-injection throttle).
-    network_lanes: u64,
-    /// Bitmask of input lanes holding an unrouted header at the front.
-    pending: u64,
-    /// Bitmask of non-empty input lanes.
-    in_occ: u64,
-    /// Bitmask of non-empty output lanes.
-    out_occ: u64,
-    /// Bitmask of input lanes with an assigned route (mirror of
-    /// `in_route[l] != NO_ROUTE`, kept as a mask so the crossbar phase
-    /// can intersect it with `in_occ` and walk only live lanes).
-    routed: u64,
-    /// Round-robin cursor for the routing phase.
-    route_rr: u32,
-    /// Round-robin cursor per port for the link arbiter.
-    link_rr: Vec<u8>,
-}
+/// Most lanes (`ports × vcs`) one router can have: the per-router lane
+/// masks are one `u64` each.
+pub const MAX_LANES_PER_ROUTER: usize = 64;
 
+/// Per-node injection state (the node's lanes live in the banks).
 struct NodeState {
     /// Unbounded source queue of created packets (ids).
     src_queue: VecDeque<u32>,
@@ -154,14 +122,6 @@ struct NodeState {
     active: Option<(u32, u16)>,
     /// Injection lane of the active packet.
     active_lane: u8,
-    /// Node-side injection lanes (one per VC).
-    lanes: Vec<FlitQueue>,
-    /// Credits towards the router's node-port input lanes.
-    credits: Vec<u8>,
-    /// Bitmask of non-empty node-side lanes.
-    lane_occ: u64,
-    /// Round-robin cursor for lane choice and the injection link arbiter.
-    lane_rr: u8,
     /// Per-node random stream (destinations + injection process).
     rng: Rng64,
     /// Packet creation process.
@@ -230,7 +190,9 @@ pub struct Engine<
     lanes_per_router: usize,
     flits_per_packet: u16,
     pattern: TrafficGen,
-    routers: Vec<RouterState>,
+    /// Every lane, credit, route and mask (see [`soa`]). Empty only
+    /// while a sharded segment has the lanes mounted elsewhere.
+    banks: SoaBanks,
     nodes: Vec<NodeState>,
     packets: Vec<PacketRec>,
     cycle: u32,
@@ -277,19 +239,10 @@ pub struct Engine<
     /// Report watchdog trips through [`Engine::stall`] rather than
     /// panicking (set by [`Engine::run_checked`]).
     report_stall: bool,
-    /// Struct-of-arrays lane banks, mounted while the engine runs in
-    /// SoA or wheel mode (see [`soa`]); `None` in the canonical
-    /// array-of-structs layout. [`Engine::to_aos`] writes them back.
-    soa: Option<Box<soa::SoaBanks>>,
     /// Event-wheel injection scheduler, mounted while the engine runs
-    /// in wheel mode (see [`wheel`]); rides on mounted SoA banks when
-    /// present, or directly on the array-of-structs layout (the
-    /// wheel-sharded stepper). [`Engine::to_aos`] replays it away.
+    /// in wheel mode (see [`wheel`]). [`Engine::leave_wheel`] replays
+    /// it away.
     wheel: Option<Box<wheel::WheelState>>,
-    /// Use the scalar twins of the wide mask scans (see [`simd`]).
-    /// Defaults to the `scalar-scan` cargo feature; both paths are
-    /// always compiled, so tests can flip this at runtime.
-    scalar_scan: bool,
 }
 
 /// A watchdog trip, reported by [`Engine::run_checked`]: flits were in
@@ -312,6 +265,30 @@ impl std::fmt::Display for Stall {
             "deadlock watchdog: {} flits in flight, nothing moved for {} cycles (cycle {})",
             self.in_flight_flits, self.idle_cycles, self.cycle
         )
+    }
+}
+
+/// Fault-plane dead-end detection at routing time: whether a header
+/// offered `cand` at router `r` can never be routed to completion.
+///
+/// * With a non-empty fallback (escape) class — the algorithms whose
+///   deadlock freedom rests on the escape network — the packet is
+///   unroutable as soon as **every escape direction is permanently
+///   dead**: routing on only adaptive lanes would void the
+///   deadlock-freedom argument, so escape-channel loss is reported as a
+///   structured drop rather than risked as a hang.
+/// * Without a fallback class (fat-tree ascent/descent, where every
+///   candidate class is safe), the packet is unroutable only when every
+///   candidate direction is dead.
+///
+/// Transiently-down channels never make a packet unroutable; they only
+/// block it until the repair.
+fn fault_unroutable<F: FaultModel>(faults: &F, r: usize, cand: &CandidateSet) -> bool {
+    let dead = |c: &routing::Candidate| faults.channel_dead(r, c.port as usize);
+    if !cand.fallback.is_empty() {
+        cand.fallback.iter().all(dead)
+    } else {
+        cand.preferred.iter().all(dead)
     }
 }
 
@@ -375,6 +352,13 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// (see [`Engine::new`] for the other parameters). Pass a compiled
     /// [`crate::fault::FaultState`]; the [`NoFaults`] default of the
     /// other constructors compiles every fault check out.
+    ///
+    /// # Panics
+    /// Panics if a router would have more than
+    /// [`MAX_LANES_PER_ROUTER`] lanes, if `buf` is outside
+    /// `1..=`[`crate::queue::MAX_DEPTH`], or if the pattern is bound to
+    /// a different network size (the scenario layer rejects all three
+    /// before building an engine).
     #[allow(clippy::too_many_arguments)]
     pub fn with_probe_and_faults(
         algo: &'a A,
@@ -390,8 +374,8 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         let vcs = algo.num_vcs();
         let lanes = w.ports * vcs;
         assert!(
-            lanes <= 64,
-            "pending bitmask supports at most 64 lanes per router"
+            lanes <= MAX_LANES_PER_ROUTER,
+            "{lanes} lanes per router exceed the {MAX_LANES_PER_ROUTER}-lane mask"
         );
         assert_eq!(
             pattern.num_nodes(),
@@ -401,42 +385,16 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         assert!(flits_per_packet >= 1);
 
         let master = Rng64::seed_from(seed);
-        let mut routers: Vec<RouterState> = (0..w.num_routers)
-            .map(|_| RouterState {
-                in_q: (0..lanes).map(|_| FlitQueue::new(buf)).collect(),
-                in_route: vec![NO_ROUTE; lanes],
-                out_q: (0..lanes).map(|_| FlitQueue::new(buf)).collect(),
-                out_credits: vec![buf as u8; lanes],
-                out_bound: 0,
-                network_lanes: 0,
-                pending: 0,
-                in_occ: 0,
-                out_occ: 0,
-                routed: 0,
-                route_rr: 0,
-                link_rr: vec![0; w.ports],
-            })
-            .collect();
-        for (r, rs) in routers.iter_mut().enumerate() {
-            for p in 0..w.ports {
-                if matches!(w.peer(r, p), Peer::Router { .. }) {
-                    rs.network_lanes |= ((1u64 << vcs) - 1) << (p * vcs);
-                }
-            }
-        }
         let nodes = (0..w.num_nodes)
             .map(|n| NodeState {
                 src_queue: VecDeque::new(),
                 active: None,
                 active_lane: 0,
-                lanes: (0..vcs).map(|_| FlitQueue::new(buf)).collect(),
-                credits: vec![buf as u8; vcs],
-                lane_occ: 0,
-                lane_rr: 0,
                 rng: master.derive(n as u64 + 1),
                 proc: make_proc(n),
             })
             .collect();
+        let banks = SoaBanks::new(&w, vcs, buf);
 
         let num_channels = w.num_routers * w.ports;
         let num_routers = w.num_routers;
@@ -448,7 +406,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             lanes_per_router: lanes,
             flits_per_packet,
             pattern,
-            routers,
+            banks,
             nodes,
             packets: Vec::new(),
             cycle: 0,
@@ -470,24 +428,8 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             fault_flips: Vec::new(),
             stall: None,
             report_stall: false,
-            soa: None,
             wheel: None,
-            scalar_scan: cfg!(feature = "scalar-scan"),
         }
-    }
-
-    /// Force (or release) the scalar fallback of the SoA wide mask
-    /// scans. Both the SIMD and the scalar path are always compiled
-    /// and bit-identical; the default comes from the `scalar-scan`
-    /// cargo feature. Purely an execution detail — never observable in
-    /// results.
-    pub fn set_scalar_scan(&mut self, scalar: bool) {
-        self.scalar_scan = scalar;
-    }
-
-    /// Whether the SoA scans currently run their scalar fallback.
-    pub fn scalar_scan(&self) -> bool {
-        self.scalar_scan
     }
 
     /// Shared access to the attached probe.
@@ -545,28 +487,6 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             .sum()
     }
 
-    /// Advance the simulation by `cycles` clocks.
-    pub fn run(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.step();
-        }
-    }
-
-    /// Advance by `cycles` clocks with the watchdog reporting instead
-    /// of panicking: a run that stops making progress (flits in flight,
-    /// nothing moving for the watchdog horizon) returns the [`Stall`]
-    /// as a structured error rather than aborting the process.
-    pub fn run_checked(&mut self, cycles: u32) -> Result<(), Stall> {
-        self.report_stall = true;
-        for _ in 0..cycles {
-            self.step();
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
-    }
-
     /// The stall captured by the watchdog under [`Engine::run_checked`],
     /// if any.
     pub fn stall(&self) -> Option<Stall> {
@@ -585,22 +505,15 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.fault_flips = flips; // return the allocation
     }
 
-    /// Return the engine to the canonical array-of-structs layout: if
-    /// a wheel is mounted, replay its scanned-ahead injection state
-    /// back to the canonical per-node streams; if SoA banks are
-    /// mounted, write them back into the per-router/per-node structs
-    /// (the phase worklists are maintained as usual while the banks
-    /// are mounted, so they carry over unchanged). Idempotent and free
-    /// when already in AoS mode. Every AoS entry point (the classic
-    /// steppers, snapshots, invariant checks) calls this first, which
-    /// is what lets the execution modes interleave freely while staying
-    /// bit-identical.
-    pub fn to_aos(&mut self) {
+    /// Leave wheel mode: if a wheel is mounted, replay its scanned-ahead
+    /// injection state back to the canonical per-node streams. Free when
+    /// none is mounted. Every entry point that ticks the injection
+    /// processes itself (the other steppers) or reads the streams
+    /// (snapshots, state hashes) calls this first, which is what lets
+    /// the steppers interleave freely while staying bit-identical.
+    pub(crate) fn leave_wheel(&mut self) {
         if self.wheel.is_some() {
             self.wheel_resync();
-        }
-        if let Some(banks) = self.soa.take() {
-            self.soa_write_back(banks);
         }
     }
 
@@ -608,181 +521,30 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// Worklist membership is a pure function of the masks at a cycle
     /// boundary; used by snapshot restore.
     pub(crate) fn rebuild_worklists(&mut self) {
+        let b = &self.banks;
         self.link_work = ActiveSet::new(self.w.num_routers);
         self.xbar_work = ActiveSet::new(self.w.num_routers);
         self.route_work = ActiveSet::new(self.w.num_routers);
         self.inject_work = ActiveSet::new(self.w.num_nodes);
-        for (r, rs) in self.routers.iter().enumerate() {
-            if rs.out_occ != 0 {
+        for r in 0..self.w.num_routers {
+            if b.out_occ[r] != 0 {
                 self.link_work.insert(r);
             }
-            if rs.in_occ & rs.routed != 0 {
+            if b.in_occ[r] & b.routed[r] != 0 {
                 self.xbar_work.insert(r);
             }
-            if rs.pending != 0 {
+            if b.pending[r] != 0 {
                 self.route_work.insert(r);
             }
         }
-        for (n, ns) in self.nodes.iter().enumerate() {
-            if ns.lane_occ != 0 {
+        for n in 0..self.w.num_nodes {
+            if b.node_lane_occ[n] != 0 {
                 self.inject_work.insert(n);
             }
         }
     }
 
-    /// Execute one clock cycle (active-set stepper: only routers and
-    /// nodes on the phase worklists are touched).
-    pub fn step(&mut self) {
-        self.to_aos();
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        // Phase 1: link. The worklists shrink only while their own
-        // phase runs (a drained router is dropped right after its
-        // visit), so word-snapshot iteration is safe; see `active.rs`.
-        for wi in 0..self.link_work.num_words() {
-            let mut bits = self.link_work.word(wi);
-            while bits != 0 {
-                let r = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.link_router::<true>(r);
-                if self.routers[r].out_occ == 0 {
-                    self.link_work.remove(r);
-                }
-            }
-        }
-        for wi in 0..self.inject_work.num_words() {
-            let mut bits = self.inject_work.word(wi);
-            while bits != 0 {
-                let n = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.link_node::<true>(n);
-                if self.nodes[n].lane_occ == 0 {
-                    self.inject_work.remove(n);
-                }
-            }
-        }
-        self.spawn_replies();
-
-        // Phase 2: crossbar.
-        for wi in 0..self.xbar_work.num_words() {
-            let mut bits = self.xbar_work.word(wi);
-            while bits != 0 {
-                let r = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.xbar_router::<true>(r);
-                let rs = &self.routers[r];
-                if rs.in_occ & rs.routed == 0 {
-                    self.xbar_work.remove(r);
-                }
-            }
-        }
-
-        // Phase 3: routing.
-        for wi in 0..self.route_work.num_words() {
-            let mut bits = self.route_work.word(wi);
-            while bits != 0 {
-                let r = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.route_router::<true>(r);
-                if self.routers[r].pending == 0 {
-                    self.route_work.remove(r);
-                }
-            }
-        }
-
-        // Phase 4: injection (inherently O(nodes): every creation
-        // process ticks its RNG every cycle).
-        self.phase_injection();
-
-        self.end_cycle();
-    }
-
-    /// Execute one clock cycle with the naive scan-everything stepper:
-    /// every router and node is visited in every phase and every port
-    /// and lane is inspected through its queues directly, exactly like
-    /// the pre-optimization engine (the handlers take `MASKED = false`,
-    /// compiling out every mask-based early-out). The mutations are the
-    /// same per-lane bodies as [`Engine::step`] — masks and worklists
-    /// are still maintained — so the two steppers are bit-identical and
-    /// may even be interleaved. Kept as the equivalence oracle and the
-    /// benchmark baseline.
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn step_reference(&mut self) {
-        self.to_aos();
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        // Phase 1: link.
-        for r in 0..self.w.num_routers {
-            self.link_router::<false>(r);
-            if self.routers[r].out_occ == 0 {
-                self.link_work.remove(r);
-            }
-        }
-        for n in 0..self.w.num_nodes {
-            self.link_node::<false>(n);
-            if self.nodes[n].lane_occ == 0 {
-                self.inject_work.remove(n);
-            }
-        }
-        self.spawn_replies();
-
-        // Phase 2: crossbar.
-        for r in 0..self.w.num_routers {
-            self.xbar_router::<false>(r);
-            let rs = &self.routers[r];
-            if rs.in_occ & rs.routed == 0 {
-                self.xbar_work.remove(r);
-            }
-        }
-
-        // Phase 3: routing.
-        for r in 0..self.w.num_routers {
-            if self.routers[r].pending == 0 {
-                continue;
-            }
-            self.route_router::<false>(r);
-            if self.routers[r].pending == 0 {
-                self.route_work.remove(r);
-            }
-        }
-
-        // Phase 4: injection.
-        self.phase_injection();
-
-        self.end_cycle();
-    }
-
-    /// Advance the simulation by `cycles` clocks using
-    /// [`Engine::step_reference`].
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn run_reference(&mut self, cycles: u32) {
-        for _ in 0..cycles {
-            self.step_reference();
-        }
-    }
-
-    /// [`Engine::run_reference`] with the watchdog reporting a
-    /// [`Stall`] instead of panicking, mirroring
-    /// [`Engine::run_checked`].
-    #[cfg(any(test, feature = "reference-engine"))]
-    pub fn run_checked_reference(&mut self, cycles: u32) -> Result<(), Stall> {
-        self.report_stall = true;
-        for _ in 0..cycles {
-            self.step_reference();
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
-    }
-
-    /// Watchdog bookkeeping shared by both steppers.
+    /// Watchdog bookkeeping shared by every stepper.
     fn end_cycle(&mut self) {
         self.probe.cycle_end(self.cycle);
         self.counters.flit_moves += self.moves_this_cycle;
@@ -816,182 +578,6 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.cycle += 1;
     }
 
-    /// Link phase, one router: move at most one flit per physical
-    /// channel direction (router->router and router->node ports).
-    ///
-    /// `MASKED` selects the scan strategy only — `true` skips empty
-    /// directions/lanes via `out_occ`, `false` inspects every lane's
-    /// queue directly (the pre-optimization behaviour) — the mutations
-    /// are identical either way.
-    fn link_router<const MASKED: bool>(&mut self, r: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let ports = self.w.ports;
-        let port_lanes = (1u64 << vcs) - 1;
-        for p in 0..ports {
-            if F::ACTIVE && self.faults.channel_down(r, p) {
-                continue; // channel down: nothing crosses this cycle
-            }
-            if MASKED && self.routers[r].out_occ & (port_lanes << (p * vcs)) == 0 {
-                continue; // nothing buffered towards this direction
-            }
-            match self.w.peer(r, p) {
-                Peer::None => {
-                    // Reachable only in the unmasked full scan: flits
-                    // are never routed towards an uncabled port.
-                    debug_assert!(!MASKED, "flit buffered on an uncabled port");
-                }
-                Peer::Node(node) => {
-                    // Ejection: the node always sinks (no credits).
-                    let rs = &mut self.routers[r];
-                    let start = rs.link_rr[p] as usize;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        let l = p * vcs + v;
-                        if MASKED && rs.out_occ & (1u64 << l) == 0 {
-                            continue;
-                        }
-                        let ready = matches!(rs.out_q[l].front(),
-                            Some(f) if f.moved < cycle);
-                        if ready {
-                            let f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
-                                rs.out_occ &= !(1u64 << l);
-                            }
-                            rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            self.counters.delivered_flits += 1;
-                            self.counters.in_flight_flits -= 1;
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Ejection,
-                            );
-                            if f.is_tail() {
-                                let rec = &mut self.packets[f.packet as usize];
-                                debug_assert_eq!(rec.delivered, NEVER);
-                                rec.delivered = cycle;
-                                let reply = self.request_reply && !rec.is_reply();
-                                self.counters.delivered_packets += 1;
-                                if reply {
-                                    self.reply_buf.push(f.packet);
-                                }
-                                self.probe.packet_delivered(cycle, f.packet, node);
-                            }
-                            break;
-                        }
-                    }
-                }
-                Peer::Router {
-                    router: r2,
-                    port: p2,
-                } => {
-                    let (r2, p2) = (r2 as usize, p2 as usize);
-                    debug_assert_ne!(r, r2);
-                    let [rs, dst] = self
-                        .routers
-                        .get_disjoint_mut([r, r2])
-                        .expect("distinct routers");
-                    let start = rs.link_rr[p] as usize;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        let l = p * vcs + v;
-                        if MASKED && rs.out_occ & (1u64 << l) == 0 {
-                            continue;
-                        }
-                        let ready = rs.out_credits[l] > 0
-                            && matches!(rs.out_q[l].front(), Some(f) if f.moved < cycle);
-                        if ready {
-                            let mut f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
-                                rs.out_occ &= !(1u64 << l);
-                            }
-                            rs.out_credits[l] -= 1;
-                            rs.link_rr[p] = ((v + 1) % vcs) as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            f.moved = cycle;
-                            let dl = p2 * vcs + v;
-                            let was_empty = dst.in_q[dl].is_empty();
-                            dst.in_q[dl].push(f);
-                            dst.in_occ |= 1u64 << dl;
-                            if was_empty && f.is_head() {
-                                debug_assert_eq!(dst.in_route[dl], NO_ROUTE);
-                                dst.pending |= 1 << dl;
-                                self.route_work.insert(r2);
-                            }
-                            if dst.routed & (1u64 << dl) != 0 {
-                                // Body/tail arriving on a lane whose head
-                                // already holds a crossbar path.
-                                self.xbar_work.insert(r2);
-                            }
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Network,
-                            );
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Link phase, one node-side injection channel (node -> router).
-    /// `MASKED` as on [`Engine::link_router`].
-    fn link_node<const MASKED: bool>(&mut self, n: usize) {
-        if F::ACTIVE && self.faults.node_dead(n) {
-            return; // dead node: its injection channel carries nothing
-        }
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let (r, p) = self.w.node_ports[n];
-        let (r, p) = (r as usize, p as usize);
-        let ns = &mut self.nodes[n];
-        let rs = &mut self.routers[r];
-        let start = ns.lane_rr as usize;
-        for i in 0..vcs {
-            let v = (start + i) % vcs;
-            if MASKED && ns.lane_occ & (1u64 << v) == 0 {
-                continue;
-            }
-            let ready =
-                ns.credits[v] > 0 && matches!(ns.lanes[v].front(), Some(f) if f.moved < cycle);
-            if ready {
-                let mut f = ns.lanes[v].pop().unwrap();
-                if ns.lanes[v].is_empty() {
-                    ns.lane_occ &= !(1u64 << v);
-                }
-                ns.credits[v] -= 1;
-                ns.lane_rr = ((v + 1) % vcs) as u8;
-                f.moved = cycle;
-                let dl = p * vcs + v;
-                let was_empty = rs.in_q[dl].is_empty();
-                rs.in_q[dl].push(f);
-                rs.in_occ |= 1u64 << dl;
-                if was_empty && f.is_head() {
-                    rs.pending |= 1 << dl;
-                    self.route_work.insert(r);
-                }
-                if rs.routed & (1u64 << dl) != 0 {
-                    self.xbar_work.insert(r);
-                }
-                self.moves_this_cycle += 1;
-                self.probe
-                    .injection_flit(cycle, f.packet, n as u32, v as u8);
-                break;
-            }
-        }
-    }
-
     /// Request-reply mode: delivered requests spawn replies at the
     /// receiving node (entering its normal source queue, so they share
     /// the single injection channel with that node's own traffic).
@@ -1022,516 +608,6 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.reply_buf = buf; // return the allocation
     }
 
-    /// Crossbar phase, one router: forward one flit on every input lane
-    /// owning a crossbar path, returning credits upstream.
-    /// `MASKED` as on [`Engine::link_router`]: `true` walks only the
-    /// set bits of `in_occ & routed`, `false` scans every lane checking
-    /// `in_route` directly.
-    fn xbar_router<const MASKED: bool>(&mut self, r: usize) {
-        if MASKED {
-            // Snapshot: lanes of this router cannot become forwardable
-            // during the phase (routes are only assigned in the routing
-            // phase, arrivals only in the link phase).
-            let mut mask = {
-                let rs = &self.routers[r];
-                rs.in_occ & rs.routed
-            };
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.xbar_lane(r, l);
-            }
-        } else {
-            for l in 0..self.lanes_per_router {
-                if self.routers[r].in_route[l] == NO_ROUTE {
-                    continue;
-                }
-                self.xbar_lane(r, l);
-            }
-        }
-    }
-
-    /// One crossbar lane holding a path: forward a flit if the head is
-    /// movable and the output lane has room.
-    #[inline]
-    fn xbar_lane(&mut self, r: usize, l: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        if F::ACTIVE && self.routers[r].in_route[l] == DROP_ROUTE {
-            self.drain_lane(r, l);
-            return;
-        }
-        {
-            let rs = &mut self.routers[r];
-            let route = rs.in_route[l];
-            debug_assert_ne!(route, NO_ROUTE);
-            let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle)
-                && !rs.out_q[route as usize].is_full();
-            if !movable {
-                return;
-            }
-            let mut f = rs.in_q[l].pop().unwrap();
-            if rs.in_q[l].is_empty() {
-                rs.in_occ &= !(1u64 << l);
-            }
-            f.moved = cycle;
-            rs.out_q[route as usize].push(f);
-            rs.out_occ |= 1u64 << route;
-            self.link_work.insert(r);
-            self.moves_this_cycle += 1;
-            if f.is_tail() {
-                rs.in_route[l] = NO_ROUTE;
-                rs.routed &= !(1u64 << l);
-                rs.out_bound &= !(1u64 << route);
-                if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
-                    rs.pending |= 1 << l;
-                    self.route_work.insert(r);
-                }
-            }
-            // Acknowledgment: one buffer freed in this input lane.
-            let (p, v) = (l / vcs, l % vcs);
-            match self.w.peer(r, p) {
-                Peer::Router {
-                    router: r2,
-                    port: p2,
-                } => {
-                    let up = &mut self.routers[r2 as usize];
-                    let ul = p2 as usize * vcs + v;
-                    up.out_credits[ul] += 1;
-                    debug_assert!(up.out_credits[ul] as usize <= up.out_q[ul].capacity());
-                }
-                Peer::Node(nn) => {
-                    let node = &mut self.nodes[nn as usize];
-                    node.credits[v] += 1;
-                    debug_assert!(node.credits[v] as usize <= node.lanes[v].capacity());
-                }
-                Peer::None => unreachable!("flit arrived through an uncabled port"),
-            }
-        }
-    }
-
-    /// Crossbar-phase handler for a lane whose head-of-line packet was
-    /// dropped by the fault plane (`in_route[l] == DROP_ROUTE`): sink
-    /// one flit per cycle instead of forwarding it, returning the
-    /// freed buffer's credit upstream exactly as a real forward would.
-    /// The drain counts as movement, so a draining network never trips
-    /// the watchdog; when the tail is sunk the lane is released and the
-    /// next header (if any) re-enters the routing phase.
-    fn drain_lane(&mut self, r: usize, l: usize) {
-        let cycle = self.cycle;
-        let vcs = self.vcs;
-        let rs = &mut self.routers[r];
-        let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle);
-        if !movable {
-            return;
-        }
-        let f = rs.in_q[l].pop().unwrap();
-        if rs.in_q[l].is_empty() {
-            rs.in_occ &= !(1u64 << l);
-        }
-        self.counters.in_flight_flits -= 1;
-        self.counters.dropped_flits += 1;
-        self.moves_this_cycle += 1;
-        if f.is_tail() {
-            rs.in_route[l] = NO_ROUTE;
-            rs.routed &= !(1u64 << l);
-            if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
-                rs.pending |= 1 << l;
-                self.route_work.insert(r);
-            }
-        }
-        // Acknowledgment upstream: the buffer slot is free again.
-        let (p, v) = (l / vcs, l % vcs);
-        match self.w.peer(r, p) {
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let up = &mut self.routers[r2 as usize];
-                let ul = p2 as usize * vcs + v;
-                up.out_credits[ul] += 1;
-                debug_assert!(up.out_credits[ul] as usize <= up.out_q[ul].capacity());
-            }
-            Peer::Node(nn) => {
-                let node = &mut self.nodes[nn as usize];
-                node.credits[v] += 1;
-                debug_assert!(node.credits[v] as usize <= node.lanes[v].capacity());
-            }
-            Peer::None => unreachable!("flit arrived through an uncabled port"),
-        }
-    }
-
-    /// Routing phase, one router: route at most one header.
-    /// `MASKED` as on [`Engine::link_router`]: `true` walks the set
-    /// bits of `pending` in round-robin order (bits at and above the
-    /// cursor, then the wrap-around), `false` rotates through every
-    /// lane index — both visit the same lanes in the same order.
-    fn route_router<const MASKED: bool>(&mut self, r: usize) {
-        let lanes = self.lanes_per_router;
-        let pending = self.routers[r].pending;
-        debug_assert_ne!(
-            pending, 0,
-            "router on routing worklist without pending header"
-        );
-        let start = self.routers[r].route_rr as usize;
-        debug_assert!(start < lanes);
-        if MASKED {
-            let below_start = (1u64 << start) - 1;
-            'scan: for part in [pending & !below_start, pending & below_start] {
-                let mut bits = part;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.route_lane(r, l) {
-                        break 'scan;
-                    }
-                }
-            }
-        } else {
-            for i in 0..lanes {
-                let l = (start + i) % lanes;
-                if pending & (1u64 << l) == 0 {
-                    continue;
-                }
-                if self.route_lane(r, l) {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// One pending lane: attempt the routing decision. Returns whether
-    /// a decision (successful or blocked) was made — the router's one
-    /// routing opportunity this cycle is then spent.
-    #[inline]
-    fn route_lane(&mut self, r: usize, l: usize) -> bool {
-        let cycle = self.cycle;
-        let lanes = self.lanes_per_router;
-        let front = *self.routers[r].in_q[l]
-            .front()
-            .expect("pending lane must hold a flit");
-        debug_assert!(front.is_head(), "pending lane front must be a header");
-        if front.moved >= cycle {
-            // Arrived this very cycle; visible to the routing
-            // logic from the next cycle on.
-            return false;
-        }
-        let dest = self.packets[front.packet as usize].dest;
-        let in_port = l / self.vcs;
-        // Take the candidate buffer out to appease the borrow
-        // checker; it is returned below.
-        let mut cand = std::mem::take(&mut self.cand);
-        self.algo
-            .route(RouterId(r as u32), Some(in_port), NodeId(dest), &mut cand);
-        debug_assert!(!cand.is_empty(), "routing function returned no candidate");
-        if F::ACTIVE && self.fault_unroutable(r, &cand) {
-            // Degraded-mode dead end: drop the packet and hand the lane
-            // to the crossbar phase for draining.
-            self.cand = cand;
-            self.start_drop(r, l, front.packet);
-            self.routers[r].route_rr = ((l + 1) % lanes) as u32;
-            return true;
-        }
-        // Degraded-mode reroute: at least one candidate direction is
-        // down, so whatever lane wins below is a detour.
-        let degraded = F::ACTIVE
-            && cand
-                .preferred
-                .iter()
-                .chain(cand.fallback.iter())
-                .any(|c| self.faults.channel_down(r, c.port as usize));
-        let choice = self.select_output(r, &cand);
-        self.cand = cand;
-        match choice {
-            Some((ol, used_fallback)) => {
-                let rs = &mut self.routers[r];
-                rs.in_route[l] = ol as u32;
-                rs.routed |= 1u64 << l;
-                rs.out_bound |= 1u64 << ol;
-                rs.pending &= !(1 << l);
-                // The header is at the front and has not moved
-                // this cycle, so the lane is forwardable.
-                debug_assert_ne!(rs.in_occ & (1u64 << l), 0);
-                self.xbar_work.insert(r);
-                self.counters.routed_headers += 1;
-                self.packets[front.packet as usize].hops += 1;
-                if used_fallback {
-                    self.counters.escape_routings += 1;
-                }
-                self.probe.header_routed(
-                    cycle,
-                    front.packet,
-                    r as u32,
-                    l as u16,
-                    ol as u16,
-                    used_fallback,
-                );
-                if degraded {
-                    self.probe
-                        .header_rerouted(cycle, front.packet, r as u32, ol as u16);
-                }
-            }
-            None => {
-                self.counters.routing_blocked += 1;
-                self.probe
-                    .routing_blocked(cycle, front.packet, r as u32, l as u16);
-            }
-        }
-        // One routing decision per router per cycle, successful
-        // or not; advance the cursor for fairness either way.
-        self.routers[r].route_rr = ((l + 1) % lanes) as u32;
-        true
-    }
-
-    /// Fault-plane dead-end detection at routing time: whether this
-    /// header can never be routed to completion from `r`.
-    ///
-    /// * With a non-empty fallback (escape) class — the algorithms
-    ///   whose deadlock freedom rests on the escape network — the
-    ///   packet is unroutable as soon as **every escape direction is
-    ///   permanently dead**: routing on only adaptive lanes would void
-    ///   the deadlock-freedom argument, so escape-channel loss is
-    ///   reported as a structured drop rather than risked as a hang.
-    /// * Without a fallback class (fat-tree ascent/descent, where every
-    ///   candidate class is safe), the packet is unroutable only when
-    ///   every candidate direction is dead.
-    ///
-    /// Transiently-down channels never make a packet unroutable; they
-    /// only block it until the repair.
-    fn fault_unroutable(&self, r: usize, cand: &CandidateSet) -> bool {
-        let dead = |c: &routing::Candidate| self.faults.channel_dead(r, c.port as usize);
-        if !cand.fallback.is_empty() {
-            cand.fallback.iter().all(dead)
-        } else {
-            cand.preferred.iter().all(dead)
-        }
-    }
-
-    /// Declare the head-of-line packet of input lane `l` dropped: mark
-    /// the lane with `DROP_ROUTE` so the crossbar phase drains it, and
-    /// count the packet.
-    fn start_drop(&mut self, r: usize, l: usize, packet: u32) {
-        let rs = &mut self.routers[r];
-        rs.in_route[l] = DROP_ROUTE;
-        rs.routed |= 1u64 << l;
-        rs.pending &= !(1 << l);
-        self.xbar_work.insert(r);
-        self.counters.dropped_packets += 1;
-        self.probe.packet_dropped(self.cycle, packet, r as u32);
-    }
-
-    /// The selection policy: among admissible preferred lanes pick the
-    /// port with the most free virtual channels (fair random tie-break),
-    /// then the lane with the most headroom on that port; fall back to
-    /// the first admissible escape lane. Returns the chosen output-lane
-    /// index and whether the fallback class was used. Lanes on
-    /// currently-down channels (fault plane) are never admissible.
-    fn select_output(&mut self, r: usize, cand: &CandidateSet) -> Option<(usize, bool)> {
-        let rs = &self.routers[r];
-        let vcs = self.vcs;
-        let faults = &self.faults;
-        let admissible = |lane: usize| {
-            rs.out_bound & (1u64 << lane) == 0
-                && !rs.out_q[lane].is_full()
-                && !(F::ACTIVE && faults.channel_down(r, lane / vcs))
-        };
-
-        // Pass 1: best port among preferred candidates.
-        let mut best_port: Option<usize> = None;
-        let mut best_score = 0usize;
-        let mut ties = 0u64;
-        let mut last_port = usize::MAX;
-        for c in &cand.preferred {
-            let port = c.port as usize;
-            if port == last_port {
-                continue; // candidates are grouped by port
-            }
-            last_port = port;
-            let has_admissible = (0..vcs).any(|v| {
-                cand.preferred
-                    .iter()
-                    .any(|cc| cc.port as usize == port && cc.vc as usize == v)
-                    && admissible(port * vcs + v)
-            });
-            if !has_admissible {
-                continue;
-            }
-            let port_mask = ((1u64 << vcs) - 1) << (port * vcs);
-            let free_vcs = vcs - (rs.out_bound & port_mask).count_ones() as usize;
-            if best_port.is_none() || free_vcs > best_score {
-                best_port = Some(port);
-                best_score = free_vcs;
-                ties = 1;
-            } else if free_vcs == best_score {
-                // Reservoir sampling for a fair tie-break.
-                ties += 1;
-                if self.rng.below(ties) == 0 {
-                    best_port = Some(port);
-                }
-            }
-        }
-
-        if let Some(port) = best_port {
-            // Pass 2: best lane on the chosen port.
-            let mut best_lane = None;
-            let mut best_headroom = 0usize;
-            for c in &cand.preferred {
-                if c.port as usize != port {
-                    continue;
-                }
-                let lane = port * vcs + c.vc as usize;
-                if !admissible(lane) {
-                    continue;
-                }
-                let headroom = rs.out_credits[lane] as usize + rs.out_q[lane].free();
-                if best_lane.is_none() || headroom > best_headroom {
-                    best_lane = Some(lane);
-                    best_headroom = headroom;
-                }
-            }
-            return best_lane.map(|l| (l, false));
-        }
-
-        // Fallback (escape) class, in the order the algorithm listed.
-        for c in &cand.fallback {
-            let lane = c.port as usize * vcs + c.vc as usize;
-            if admissible(lane) {
-                return Some((lane, true));
-            }
-        }
-        None
-    }
-
-    /// Phase 4: tick every node's creation process, then run the
-    /// shared per-node injection body.
-    fn phase_injection(&mut self) {
-        for n in 0..self.w.num_nodes {
-            let ns = &mut self.nodes[n];
-            let created = if ns.proc.tick(&mut ns.rng) {
-                self.pattern
-                    .dest(NodeId(n as u32), &mut ns.rng)
-                    .map(|d| d.0)
-            } else {
-                None
-            };
-            self.inject_node(n, created);
-        }
-    }
-
-    /// The per-node injection body shared by the classic steppers, the
-    /// sharded stepper's serial injection residue, and the wheel's
-    /// array-of-structs injection: packet creation (when the caller's
-    /// tick drew `created` as a destination), the fault-plane source
-    /// purge, throttled packet start, and streaming one flit of the
-    /// active packet. AoS twin of `soa_inject_node` — the two must
-    /// stay line-for-line parallel.
-    fn inject_node(&mut self, n: usize, created: Option<u32>) {
-        let cycle = self.cycle;
-        let flits = self.flits_per_packet;
-        let ns = &mut self.nodes[n];
-        if let Some(dest) = created {
-            let id = self.packets.len() as u32;
-            self.packets.push(PacketRec {
-                src: n as u32,
-                dest,
-                created: cycle,
-                injected: NEVER,
-                delivered: NEVER,
-                flits,
-                hops: 0,
-                in_reply_to: u32::MAX,
-            });
-            ns.src_queue.push_back(id);
-            self.counters.created_packets += 1;
-            self.probe.packet_created(cycle, id, n as u32, dest, flits);
-        }
-
-        // Fault plane: a packet whose source or destination node is
-        // dead can never be delivered — abandon it at the source
-        // (counted unroutable, never injected). Dead endpoints are
-        // known at cycle 0, so the source queue never wedges behind
-        // a doomed head.
-        if F::ACTIVE {
-            while let Some(&pkt) = ns.src_queue.front() {
-                let dest = self.packets[pkt as usize].dest as usize;
-                if !self.faults.node_dead(n) && !self.faults.node_dead(dest) {
-                    break;
-                }
-                ns.src_queue.pop_front();
-                self.counters.unroutable_packets += 1;
-                self.probe.packet_unroutable(cycle, pkt, n as u32);
-            }
-        }
-
-        // Start the next packet (single injection channel: one
-        // packet streams at a time; limited injection may hold it
-        // back while the local router is congested).
-        let vcs = self.vcs;
-        if ns.active.is_none() {
-            let throttled = match self.injection_limit {
-                None => false,
-                Some(limit) => {
-                    let (r, _) = self.w.node_ports[n];
-                    let rs = &self.routers[r as usize];
-                    (rs.out_bound & rs.network_lanes).count_ones() >= limit
-                }
-            };
-            if !throttled {
-                if let Some(&pkt) = ns.src_queue.front() {
-                    // Choose the lane with the most headroom; rotate on
-                    // ties for fairness.
-                    let start = ns.lane_rr as usize;
-                    let mut best: Option<(usize, usize)> = None;
-                    for i in 0..vcs {
-                        let v = (start + i) % vcs;
-                        if ns.lanes[v].is_full() {
-                            continue;
-                        }
-                        let headroom = ns.lanes[v].free() + ns.credits[v] as usize;
-                        if best.is_none_or(|(_, h)| headroom > h) {
-                            best = Some((v, headroom));
-                        }
-                    }
-                    if let Some((v, _)) = best {
-                        ns.src_queue.pop_front();
-                        ns.active = Some((pkt, flits));
-                        ns.active_lane = v as u8;
-                    }
-                }
-            }
-        }
-
-        // Stream one flit of the active packet.
-        if let Some((pkt, remaining)) = ns.active {
-            let lane = ns.active_lane as usize;
-            if !ns.lanes[lane].is_full() {
-                let mut flags = 0u8;
-                if remaining == flits {
-                    flags |= HEAD;
-                    self.packets[pkt as usize].injected = cycle;
-                    self.probe.packet_injected(cycle, pkt, n as u32, lane as u8);
-                }
-                if remaining == 1 {
-                    flags |= TAIL;
-                }
-                ns.lanes[lane].push(Flit {
-                    packet: pkt,
-                    moved: cycle,
-                    flags,
-                });
-                ns.lane_occ |= 1u64 << lane;
-                self.inject_work.insert(n);
-                self.counters.in_flight_flits += 1;
-                self.moves_this_cycle += 1;
-                ns.active = if remaining == 1 {
-                    None
-                } else {
-                    Some((pkt, remaining - 1))
-                };
-            }
-        }
-    }
-
     /// Flits transmitted so far on the directed channel leaving
     /// `router` through `port` (ejection channels included).
     pub fn link_flits(&self, router: usize, port: usize) -> u64 {
@@ -1554,10 +630,11 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// Verify the credit-counting invariant: for every cabled channel,
     /// the upstream output lane's credits plus the downstream input
     /// lane's occupancy equal the buffer depth. Returns the first
-    /// violation as `(router, port, vc, credits, occupancy)`. Leaves
-    /// any mounted execution mode ([`Engine::to_aos`]).
-    pub fn check_credit_invariant(&mut self) -> Result<(), (usize, usize, usize, u8, usize)> {
-        self.to_aos();
+    /// violation as `(router, port, vc, credits, occupancy)`.
+    pub fn check_credit_invariant(&self) -> Result<(), (usize, usize, usize, u8, usize)> {
+        let b = &self.banks;
+        let (vcs, lanes) = (self.vcs, self.lanes_per_router);
+        let cap = b.in_q.capacity();
         for r in 0..self.w.num_routers {
             for p in 0..self.w.ports {
                 if let Peer::Router {
@@ -1565,11 +642,9 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                     port: p2,
                 } = self.w.peer(r, p)
                 {
-                    for v in 0..self.vcs {
-                        let l = p * self.vcs + v;
-                        let credits = self.routers[r].out_credits[l];
-                        let occ = self.routers[r2 as usize].in_q[p2 as usize * self.vcs + v].len();
-                        let cap = self.routers[r].out_q[l].capacity();
+                    for v in 0..vcs {
+                        let credits = b.out_credits[r * lanes + p * vcs + v];
+                        let occ = b.in_q.len(r2 as usize * lanes + p2 as usize * vcs + v);
                         if credits as usize + occ != cap {
                             return Err((r, p, v, credits, occ));
                         }
@@ -1580,10 +655,9 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         // Node-side injection channels.
         for n in 0..self.w.num_nodes {
             let (r, p) = self.w.node_ports[n];
-            for v in 0..self.vcs {
-                let credits = self.nodes[n].credits[v];
-                let occ = self.routers[r as usize].in_q[p as usize * self.vcs + v].len();
-                let cap = self.nodes[n].lanes[v].capacity();
+            for v in 0..vcs {
+                let credits = b.node_credits[n * vcs + v];
+                let occ = b.in_q.len(r as usize * lanes + p as usize * vcs + v);
                 if credits as usize + occ != cap {
                     return Err((r as usize, p as usize, v, credits, occ));
                 }
@@ -1592,44 +666,46 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         Ok(())
     }
 
-    /// Verify the worklist/occupancy-mask invariants the active-set
+    /// Verify the worklist/occupancy-mask invariants the default
     /// stepper relies on: every occupancy mask mirrors its queues,
     /// `routed` mirrors `in_route`, and each worklist contains exactly
     /// the routers/nodes whose enabling condition holds. Returns the
-    /// first violation as a description. Leaves any mounted execution
-    /// mode ([`Engine::to_aos`]).
-    pub fn check_worklist_invariant(&mut self) -> Result<(), String> {
-        self.to_aos();
-        for (r, rs) in self.routers.iter().enumerate() {
-            for l in 0..self.lanes_per_router {
-                let bit = 1u64 << l;
-                if (rs.in_occ & bit != 0) == rs.in_q[l].is_empty() {
-                    return Err(format!("router {r} lane {l}: in_occ mask desynced"));
+    /// first violation as a description.
+    pub fn check_worklist_invariant(&self) -> Result<(), String> {
+        let b = &self.banks;
+        let lanes = self.lanes_per_router;
+        for r in 0..self.w.num_routers {
+            for ll in 0..lanes {
+                let (bit, l) = (1u64 << ll, r * lanes + ll);
+                if (b.in_occ[r] & bit != 0) == b.in_q.is_empty(l) {
+                    return Err(format!("router {r} lane {ll}: in_occ mask desynced"));
                 }
-                if (rs.out_occ & bit != 0) == rs.out_q[l].is_empty() {
-                    return Err(format!("router {r} lane {l}: out_occ mask desynced"));
+                if (b.out_occ[r] & bit != 0) == b.out_q.is_empty(l) {
+                    return Err(format!("router {r} lane {ll}: out_occ mask desynced"));
                 }
-                if (rs.routed & bit != 0) != (rs.in_route[l] != NO_ROUTE) {
-                    return Err(format!("router {r} lane {l}: routed mask desynced"));
+                if (b.routed[r] & bit != 0) != (b.in_route[l] != NO_ROUTE) {
+                    return Err(format!("router {r} lane {ll}: routed mask desynced"));
                 }
             }
-            if (rs.out_occ != 0) != self.link_work.contains(r) {
+            if (b.out_occ[r] != 0) != self.link_work.contains(r) {
                 return Err(format!("router {r}: link worklist desynced"));
             }
-            if (rs.in_occ & rs.routed != 0) != self.xbar_work.contains(r) {
+            if (b.in_occ[r] & b.routed[r] != 0) != self.xbar_work.contains(r) {
                 return Err(format!("router {r}: crossbar worklist desynced"));
             }
-            if (rs.pending != 0) != self.route_work.contains(r) {
+            if (b.pending[r] != 0) != self.route_work.contains(r) {
                 return Err(format!("router {r}: routing worklist desynced"));
             }
         }
-        for (n, ns) in self.nodes.iter().enumerate() {
-            for (v, lane) in ns.lanes.iter().enumerate() {
-                if (ns.lane_occ & (1u64 << v) != 0) == lane.is_empty() {
+        for n in 0..self.w.num_nodes {
+            for v in 0..self.vcs {
+                if (b.node_lane_occ[n] & (1u64 << v) != 0)
+                    == b.node_lanes.is_empty(n * self.vcs + v)
+                {
                     return Err(format!("node {n} lane {v}: lane_occ mask desynced"));
                 }
             }
-            if (ns.lane_occ != 0) != self.inject_work.contains(n) {
+            if (b.node_lane_occ[n] != 0) != self.inject_work.contains(n) {
                 return Err(format!("node {n}: injection worklist desynced"));
             }
         }
@@ -1637,24 +713,10 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     }
 
     /// Count every flit currently buffered in any lane (for conservation
-    /// checks in tests). Leaves any mounted execution mode
-    /// ([`Engine::to_aos`]).
-    pub fn buffered_flits(&mut self) -> u64 {
-        self.to_aos();
-        let router_flits: usize = self
-            .routers
-            .iter()
-            .map(|r| {
-                r.in_q.iter().map(FlitQueue::len).sum::<usize>()
-                    + r.out_q.iter().map(FlitQueue::len).sum::<usize>()
-            })
-            .sum();
-        let node_flits: usize = self
-            .nodes
-            .iter()
-            .map(|n| n.lanes.iter().map(FlitQueue::len).sum::<usize>())
-            .sum();
-        (router_flits + node_flits) as u64
+    /// checks in tests).
+    pub fn buffered_flits(&self) -> u64 {
+        let b = &self.banks;
+        (b.in_q.total_len() + b.out_q.total_len() + b.node_lanes.total_len()) as u64
     }
 }
 
@@ -1930,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn active_step_matches_reference_step_exactly() {
+    fn step_matches_reference_step_exactly() {
         // Cycle-by-cycle lockstep comparison on both network families,
         // checking the full observable state every few cycles.
         let cube = CubeDuato::new(KAryNCube::new(4, 2));
@@ -1949,6 +1011,7 @@ mod tests {
             assert_eq!(opt.counters(), refr.counters());
             assert_eq!(opt.packets(), refr.packets());
             assert_eq!(opt.buffered_flits(), refr.buffered_flits());
+            assert_eq!(opt.state_hash(), refr.state_hash());
         }
         check(&cube, 0.01);
         check(&cube, 0.08); // saturating
@@ -1961,16 +1024,21 @@ mod tests {
         // must equal running either one alone.
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let (mut pure, mut mixed) = engine_pair(&algo, 0.03, 5);
-        for cycle in 0..1000 {
+        for cycle in 0..1200 {
             pure.step();
             if cycle % 3 == 0 {
                 mixed.step_reference();
             } else {
                 mixed.step();
             }
+            if cycle % 97 == 0 {
+                assert_eq!(mixed.check_worklist_invariant(), Ok(()), "cycle {cycle}");
+                assert_eq!(mixed.check_credit_invariant(), Ok(()), "cycle {cycle}");
+            }
         }
         assert_eq!(pure.counters(), mixed.counters());
         assert_eq!(pure.packets(), mixed.packets());
+        assert_eq!(pure.state_hash(), mixed.state_hash());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sharded intra-run stepping: domain decomposition of one engine
 //! cycle across worker threads with deterministic phase barriers.
 //!
-//! [`Engine::step_sharded`] partitions routers (and, independently,
+//! [`Engine::run_sharded`] partitions routers (and, independently,
 //! nodes) into `S` contiguous, 64-aligned id ranges and runs each
 //! engine phase shard-parallel. Every cross-shard effect is carried
 //! through per-`(src-shard, dst-shard)` handoff queues that a serial
@@ -10,7 +10,19 @@
 //! **bit-identical** to [`Engine::step`]: counters, the packet table,
 //! RNG consumption order, and the telemetry event stream.
 //! `tests/engine_equivalence.rs` enforces this the same way it pins the
-//! active-set stepper to the reference stepper.
+//! default stepper to the reference stepper.
+//!
+//! # Segments
+//!
+//! The sharded kernels run on a `Partition` of the lane state. A call
+//! to one of the run functions below is a *segment*: when it starts,
+//! the engine's queue banks and node-side arrays move into the
+//! partition whole, and the per-router routes, credits, masks and
+//! cursors are cut into per-router structs (the banks' copies are
+//! released); each phase then splits the queues and node arrays into
+//! per-shard views by id range for the workers; when the segment ends
+//! everything is folded back into the banks. So the engine never holds
+//! two copies of its lanes.
 //!
 //! # Why each phase decomposes
 //!
@@ -41,22 +53,114 @@
 //!   queueing and flit streaming run serially (ids are global sequence
 //!   numbers and the probe observes them in node order).
 //!
-//! `shards <= 1` falls straight through to [`Engine::step`], so the
-//! default path remains the serial hot loop, untouched.
+//! `shards <= 1` falls straight through to the serial steppers.
 
-use super::{Counters, Engine, NodeState, RouterState, Stall, DROP_ROUTE, NO_ROUTE};
+use super::soa::{select_output, NodeLanesMut, SoaBanks};
+use super::{fault_unroutable, Counters, Engine, NodeState, Stall, DROP_ROUTE, NO_ROUTE};
 use crate::fault::FaultModel;
 use crate::flit::{Flit, PacketRec, NEVER};
+use crate::queue::{LaneView, QueueBank};
 use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
 use telemetry::{LinkKind, Probe};
 use topology::{NodeId, RouterId};
 use traffic::TrafficGen;
 
+/// One router's routes, credits, masks and cursors in the layout the
+/// sharded kernels run on (same field meanings as [`SoaBanks`]); its
+/// lane queues stay in the partition's banks.
+struct RouterState {
+    in_route: Vec<u32>,
+    out_credits: Vec<u8>,
+    out_bound: u64,
+    network_lanes: u64,
+    pending: u64,
+    in_occ: u64,
+    out_occ: u64,
+    routed: u64,
+    route_rr: u32,
+    link_rr: Vec<u8>,
+}
+
+/// The lane state of a sharded segment (see the module docs): the
+/// engine's queue banks and node-side arrays, moved in whole and split
+/// into per-shard views each phase, plus per-router structs for the
+/// rest.
+struct Partition {
+    routers: Vec<RouterState>,
+    in_q: QueueBank,
+    out_q: QueueBank,
+    node_lanes: QueueBank,
+    node_credits: Vec<u8>,
+    node_lane_occ: Vec<u64>,
+    node_lane_rr: Vec<u8>,
+    /// Lanes per router.
+    lanes: usize,
+}
+
+impl Partition {
+    /// Take the lane state out of `b`: the queue banks and node-side
+    /// arrays move over as they are, the router arrays are cut per
+    /// router and released. Leaves `b` holding only its wiring-derived
+    /// tables.
+    fn mount(b: &mut SoaBanks, lanes: usize, ports: usize) -> Self {
+        let routers = (0..b.out_bound.len())
+            .map(|r| RouterState {
+                in_route: b.in_route[r * lanes..(r + 1) * lanes].to_vec(),
+                out_credits: b.out_credits[r * lanes..(r + 1) * lanes].to_vec(),
+                out_bound: b.out_bound[r],
+                network_lanes: b.network_lanes[r],
+                pending: b.pending[r],
+                in_occ: b.in_occ[r],
+                out_occ: b.out_occ[r],
+                routed: b.routed[r],
+                route_rr: b.route_rr[r],
+                link_rr: b.link_rr[r * ports..(r + 1) * ports].to_vec(),
+            })
+            .collect();
+        let part = Partition {
+            routers,
+            in_q: std::mem::take(&mut b.in_q),
+            out_q: std::mem::take(&mut b.out_q),
+            node_lanes: std::mem::take(&mut b.node_lanes),
+            node_credits: std::mem::take(&mut b.node_credits),
+            node_lane_occ: std::mem::take(&mut b.node_lane_occ),
+            node_lane_rr: std::mem::take(&mut b.node_lane_rr),
+            lanes,
+        };
+        b.release();
+        part
+    }
+
+    /// Hand the lane state back to `b` (the inverse of
+    /// [`Partition::mount`]).
+    fn unmount(self, b: &mut SoaBanks) {
+        let rs = &self.routers;
+        b.in_route = rs.iter().flat_map(|r| r.in_route.iter().copied()).collect();
+        b.out_credits = rs
+            .iter()
+            .flat_map(|r| r.out_credits.iter().copied())
+            .collect();
+        b.link_rr = rs.iter().flat_map(|r| r.link_rr.iter().copied()).collect();
+        b.out_bound = rs.iter().map(|r| r.out_bound).collect();
+        b.pending = rs.iter().map(|r| r.pending).collect();
+        b.in_occ = rs.iter().map(|r| r.in_occ).collect();
+        b.out_occ = rs.iter().map(|r| r.out_occ).collect();
+        b.routed = rs.iter().map(|r| r.routed).collect();
+        b.route_rr = rs.iter().map(|r| r.route_rr).collect();
+        b.in_q = self.in_q;
+        b.out_q = self.out_q;
+        b.node_lanes = self.node_lanes;
+        b.node_credits = self.node_credits;
+        b.node_lane_occ = self.node_lane_occ;
+        b.node_lane_rr = self.node_lane_rr;
+    }
+}
+
 /// The shard decomposition of one engine plus its reusable per-shard
 /// scratch state (handoff queues, probe-event buffers, candidate
 /// pools). Build one with [`Engine::shard_plan`] and feed it to
-/// [`Engine::step_sharded`] / [`Engine::run_sharded`]; it is only valid
+/// [`Engine::run_sharded`] and its siblings; it is only valid
 /// for engines of the same topology it was built from.
 pub struct ShardPlan {
     /// Effective shard count (after clamping to the router count).
@@ -77,6 +181,10 @@ pub struct ShardPlan {
     node_word_starts: Vec<usize>,
     /// `router_starts[i] * ports` (per-channel counter boundaries).
     link_flit_starts: Vec<usize>,
+    /// `router_starts[i] * lanes_per_router` (router lane boundaries).
+    router_lane_starts: Vec<usize>,
+    /// `node_starts[i] * vcs` (node-side lane boundaries).
+    node_lane_starts: Vec<usize>,
     /// Per-shard scratch, reused across cycles.
     scratch: Vec<ShardScratch>,
 }
@@ -91,12 +199,6 @@ impl ShardPlan {
     /// Worker-thread setting (`<= 1` = run shards on the caller).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Node id boundaries (the wheel-sharded stepper partitions its
-    /// calendar queue along these).
-    pub(super) fn node_starts(&self) -> &[usize] {
-        &self.node_starts
     }
 }
 
@@ -266,6 +368,7 @@ struct LinkEnv<'e, F> {
     router_starts: &'e [usize],
     cycle: u32,
     vcs: usize,
+    lanes: usize,
     request_reply: bool,
 }
 
@@ -274,7 +377,16 @@ struct LinkShard<'e> {
     router_base: usize,
     node_base: usize,
     routers: &'e mut [RouterState],
-    nodes: &'e mut [NodeState],
+    /// This shard's routers' lanes (router-local lane `l` of router `r`
+    /// at `(r - router_base) * lanes + l`), and its nodes' lanes,
+    /// credits, masks and cursors (node `n` at `n - node_base`, its
+    /// lane `v` at `(n - node_base) * vcs + v`).
+    in_q: LaneView<'e>,
+    out_q: LaneView<'e>,
+    node_lanes: LaneView<'e>,
+    node_credits: &'e mut [u8],
+    node_occ: &'e mut [u64],
+    node_rr: &'e mut [u8],
     link_flits: &'e mut [u64],
     link_words: &'e mut [u64],
     route_words: &'e mut [u64],
@@ -305,16 +417,17 @@ fn link_worker<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>) {
             let n = ((nword_base + wi) << 6) + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             link_node_sharded(env, sh, n);
-            if sh.nodes[n - sh.node_base].lane_occ == 0 {
+            if sh.node_occ[n - sh.node_base] == 0 {
                 clear_bit(sh.inject_words, nword_base, n);
             }
         }
     }
 }
 
-/// Shard mirror of `Engine::link_router::<true>`: identical mutations
-/// on the send side; intra-shard receives applied inline, cross-shard
-/// receives handed off; probe calls and packet/counter writes buffered.
+/// Shard mirror of the default stepper's per-router link handler:
+/// identical mutations on the send side; intra-shard receives applied
+/// inline, cross-shard receives handed off; probe calls and
+/// packet/counter writes buffered.
 fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>, r: usize) {
     let cycle = env.cycle;
     let vcs = env.vcs;
@@ -323,6 +436,7 @@ fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'
     let rbase = sh.router_base;
     let rend = rbase + sh.routers.len();
     let rword_base = rbase >> 6;
+    let lo = (r - rbase) * env.lanes;
     for p in 0..ports {
         if F::ACTIVE && env.faults.channel_down(r, p) {
             continue; // channel down: nothing crosses this cycle
@@ -344,11 +458,11 @@ fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'
                     if rs.out_occ & (1u64 << l) == 0 {
                         continue;
                     }
-                    let ready = matches!(rs.out_q[l].front(),
+                    let ready = matches!(sh.out_q.front(lo + l),
                             Some(f) if f.moved < cycle);
                     if ready {
-                        let f = rs.out_q[l].pop().unwrap();
-                        if rs.out_q[l].is_empty() {
+                        let f = sh.out_q.pop(lo + l);
+                        if sh.out_q.is_empty(lo + l) {
                             rs.out_occ &= !(1u64 << l);
                         }
                         rs.link_rr[p] = ((v + 1) % vcs) as u8;
@@ -402,10 +516,10 @@ fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'
                             continue;
                         }
                         let ready = rs.out_credits[l] > 0
-                            && matches!(rs.out_q[l].front(), Some(f) if f.moved < cycle);
+                            && matches!(sh.out_q.front(lo + l), Some(f) if f.moved < cycle);
                         if ready {
-                            let mut f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
+                            let mut f = sh.out_q.pop(lo + l);
+                            if sh.out_q.is_empty(lo + l) {
                                 rs.out_occ &= !(1u64 << l);
                             }
                             rs.out_credits[l] -= 1;
@@ -413,8 +527,9 @@ fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'
                             sh.link_flits[(r - rbase) * ports + p] += 1;
                             f.moved = cycle;
                             let dl = p2 * vcs + v;
-                            let was_empty = dst.in_q[dl].is_empty();
-                            dst.in_q[dl].push(f);
+                            let dq = (r2 - rbase) * env.lanes + dl;
+                            let was_empty = sh.in_q.is_empty(dq);
+                            sh.in_q.push(dq, f);
                             dst.in_occ |= 1u64 << dl;
                             if was_empty && f.is_head() {
                                 debug_assert_eq!(dst.in_route[dl], NO_ROUTE);
@@ -448,10 +563,10 @@ fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'
                             continue;
                         }
                         let ready = rs.out_credits[l] > 0
-                            && matches!(rs.out_q[l].front(), Some(f) if f.moved < cycle);
+                            && matches!(sh.out_q.front(lo + l), Some(f) if f.moved < cycle);
                         if ready {
-                            let mut f = rs.out_q[l].pop().unwrap();
-                            if rs.out_q[l].is_empty() {
+                            let mut f = sh.out_q.pop(lo + l);
+                            if sh.out_q.is_empty(lo + l) {
                                 rs.out_occ &= !(1u64 << l);
                             }
                             rs.out_credits[l] -= 1;
@@ -478,10 +593,10 @@ fn link_router_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'
     }
 }
 
-/// Shard mirror of `Engine::link_node::<true>`. The attached router is
-/// looked up against this shard's *router* range (node and router
-/// ranges are independent); a cross-shard push rides the same handoff
-/// queue as a router-to-router hop.
+/// Shard mirror of the default stepper's node-link handler. The
+/// attached router is looked up against this shard's *router* range
+/// (node and router ranges are independent); a cross-shard push rides
+/// the same handoff queue as a router-to-router hop.
 fn link_node_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>, n: usize) {
     if F::ACTIVE && env.faults.node_dead(n) {
         return; // dead node: its injection channel carries nothing
@@ -492,27 +607,30 @@ fn link_node_sharded<F: FaultModel>(env: &LinkEnv<'_, F>, sh: &mut LinkShard<'_>
     let (r, p) = (r as usize, p as usize);
     let rbase = sh.router_base;
     let rend = rbase + sh.routers.len();
-    let ns = &mut sh.nodes[n - sh.node_base];
-    let start = ns.lane_rr as usize;
+    let ni = n - sh.node_base;
+    let no = ni * vcs;
+    let start = sh.node_rr[ni] as usize;
     for i in 0..vcs {
         let v = (start + i) % vcs;
-        if ns.lane_occ & (1u64 << v) == 0 {
+        if sh.node_occ[ni] & (1u64 << v) == 0 {
             continue;
         }
-        let ready = ns.credits[v] > 0 && matches!(ns.lanes[v].front(), Some(f) if f.moved < cycle);
+        let ready = sh.node_credits[no + v] > 0
+            && matches!(sh.node_lanes.front(no + v), Some(f) if f.moved < cycle);
         if ready {
-            let mut f = ns.lanes[v].pop().unwrap();
-            if ns.lanes[v].is_empty() {
-                ns.lane_occ &= !(1u64 << v);
+            let mut f = sh.node_lanes.pop(no + v);
+            if sh.node_lanes.is_empty(no + v) {
+                sh.node_occ[ni] &= !(1u64 << v);
             }
-            ns.credits[v] -= 1;
-            ns.lane_rr = ((v + 1) % vcs) as u8;
+            sh.node_credits[no + v] -= 1;
+            sh.node_rr[ni] = ((v + 1) % vcs) as u8;
             f.moved = cycle;
             let dl = p * vcs + v;
             if r >= rbase && r < rend {
                 let rs = &mut sh.routers[r - rbase];
-                let was_empty = rs.in_q[dl].is_empty();
-                rs.in_q[dl].push(f);
+                let dq = (r - rbase) * env.lanes + dl;
+                let was_empty = sh.in_q.is_empty(dq);
+                sh.in_q.push(dq, f);
                 rs.in_occ |= 1u64 << dl;
                 if was_empty && f.is_head() {
                     rs.pending |= 1 << dl;
@@ -553,6 +671,9 @@ struct XbarEnv<'e> {
 struct XbarShard<'e> {
     router_base: usize,
     routers: &'e mut [RouterState],
+    /// This shard's routers' lanes, addressed as in [`LinkShard`].
+    in_q: LaneView<'e>,
+    out_q: LaneView<'e>,
     link_words: &'e mut [u64],
     route_words: &'e mut [u64],
     xbar_words: &'e mut [u64],
@@ -586,8 +707,8 @@ fn xbar_worker<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>) {
     }
 }
 
-/// Shard mirror of `Engine::xbar_lane` + `Engine::drain_lane`: all
-/// mutations are router-local except the upstream credit, which is
+/// Shard mirror of the default stepper's crossbar and drain handlers:
+/// all mutations are router-local except the upstream credit, which is
 /// returned inline intra-shard and deferred otherwise (node credits
 /// always deferred). No probe calls in this phase.
 fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r: usize, l: usize) {
@@ -596,16 +717,17 @@ fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r
     let rbase = sh.router_base;
     let rend = rbase + sh.routers.len();
     let draining = F::ACTIVE && sh.routers[r - rbase].in_route[l] == DROP_ROUTE;
+    let lo = (r - rbase) * env.lanes_per_router;
     {
         let rs = &mut sh.routers[r - rbase];
         if draining {
             // Fault-plane drain: sink one flit, credits still returned.
-            let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle);
+            let movable = matches!(sh.in_q.front(lo + l), Some(f) if f.moved < cycle);
             if !movable {
                 return;
             }
-            let f = rs.in_q[l].pop().unwrap();
-            if rs.in_q[l].is_empty() {
+            let f = sh.in_q.pop(lo + l);
+            if sh.in_q.is_empty(lo + l) {
                 rs.in_occ &= !(1u64 << l);
             }
             sh.scratch.counters.in_flight_flits =
@@ -615,7 +737,7 @@ fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r
             if f.is_tail() {
                 rs.in_route[l] = NO_ROUTE;
                 rs.routed &= !(1u64 << l);
-                if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
+                if matches!(sh.in_q.front(lo + l), Some(nf) if nf.is_head()) {
                     rs.pending |= 1 << l;
                     set_bit(sh.route_words, rbase >> 6, r);
                 }
@@ -623,17 +745,17 @@ fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r
         } else {
             let route = rs.in_route[l];
             debug_assert_ne!(route, NO_ROUTE);
-            let movable = matches!(rs.in_q[l].front(), Some(f) if f.moved < cycle)
-                && !rs.out_q[route as usize].is_full();
+            let movable = matches!(sh.in_q.front(lo + l), Some(f) if f.moved < cycle)
+                && !sh.out_q.is_full(lo + route as usize);
             if !movable {
                 return;
             }
-            let mut f = rs.in_q[l].pop().unwrap();
-            if rs.in_q[l].is_empty() {
+            let mut f = sh.in_q.pop(lo + l);
+            if sh.in_q.is_empty(lo + l) {
                 rs.in_occ &= !(1u64 << l);
             }
             f.moved = cycle;
-            rs.out_q[route as usize].push(f);
+            sh.out_q.push(lo + route as usize, f);
             rs.out_occ |= 1u64 << route;
             set_bit(sh.link_words, rbase >> 6, r);
             sh.scratch.moves += 1;
@@ -641,7 +763,7 @@ fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r
                 rs.in_route[l] = NO_ROUTE;
                 rs.routed &= !(1u64 << l);
                 rs.out_bound &= !(1u64 << route);
-                if matches!(rs.in_q[l].front(), Some(nf) if nf.is_head()) {
+                if matches!(sh.in_q.front(lo + l), Some(nf) if nf.is_head()) {
                     rs.pending |= 1 << l;
                     set_bit(sh.route_words, rbase >> 6, r);
                 }
@@ -660,7 +782,7 @@ fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r
             if r2 >= rbase && r2 < rend {
                 let up = &mut sh.routers[r2 - rbase];
                 up.out_credits[ul] += 1;
-                debug_assert!(up.out_credits[ul] as usize <= up.out_q[ul].capacity());
+                debug_assert!(up.out_credits[ul] as usize <= sh.out_q.capacity());
             } else {
                 let dst_shard = shard_of(env.router_starts, r2);
                 sh.scratch.credits_out[dst_shard].push((r2 as u32, ul as u16));
@@ -682,6 +804,8 @@ fn xbar_lane_sharded<F: FaultModel>(env: &XbarEnv<'_>, sh: &mut XbarShard<'_>, r
 /// phase writes nothing but its own decision list).
 struct RouteEnv<'e, A: ?Sized, F> {
     routers: &'e [RouterState],
+    in_q: &'e QueueBank,
+    lanes: usize,
     route_words: &'e [u64],
     packets: &'e [PacketRec],
     algo: &'e A,
@@ -716,8 +840,8 @@ fn route_prepare_worker<A: RoutingAlgorithm + ?Sized, F: FaultModel>(
     }
 }
 
-/// The per-router preparation: same lane visit order as
-/// `Engine::route_router::<true>` / `Engine::route_lane`.
+/// The per-router preparation: same lane visit order as the default
+/// stepper's routing handler.
 fn prepare_router<A: RoutingAlgorithm + ?Sized, F: FaultModel>(
     env: &RouteEnv<'_, A, F>,
     sh: &mut RouteShard<'_>,
@@ -736,7 +860,10 @@ fn prepare_router<A: RoutingAlgorithm + ?Sized, F: FaultModel>(
         while bits != 0 {
             let l = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let front = *rs.in_q[l].front().expect("pending lane must hold a flit");
+            let front = *env
+                .in_q
+                .front(r * env.lanes + l)
+                .expect("pending lane must hold a flit");
             debug_assert!(front.is_head(), "pending lane front must be a header");
             if front.moved >= env.cycle {
                 // Arrived this very cycle; visible next cycle — the
@@ -767,17 +894,6 @@ fn prepare_router<A: RoutingAlgorithm + ?Sized, F: FaultModel>(
             });
             break 'scan;
         }
-    }
-}
-
-/// Free-function twin of `Engine::fault_unroutable` (the worker has no
-/// engine reference).
-fn fault_unroutable<F: FaultModel>(faults: &F, r: usize, cand: &CandidateSet) -> bool {
-    let dead = |c: &routing::Candidate| faults.channel_dead(r, c.port as usize);
-    if !cand.fallback.is_empty() {
-        cand.fallback.iter().all(dead)
-    } else {
-        cand.preferred.iter().all(dead)
     }
 }
 
@@ -839,6 +955,11 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         let router_word_starts: Vec<usize> = router_starts.iter().map(|s| s.div_ceil(64)).collect();
         let node_word_starts: Vec<usize> = node_starts.iter().map(|s| s.div_ceil(64)).collect();
         let link_flit_starts: Vec<usize> = router_starts.iter().map(|s| s * self.w.ports).collect();
+        let router_lane_starts = router_starts
+            .iter()
+            .map(|s| s * self.lanes_per_router)
+            .collect();
+        let node_lane_starts = node_starts.iter().map(|s| s * self.vcs).collect();
         ShardPlan {
             shards,
             threads: threads.max(1),
@@ -847,57 +968,36 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             router_word_starts,
             node_word_starts,
             link_flit_starts,
+            router_lane_starts,
+            node_lane_starts,
             scratch: (0..shards).map(|_| ShardScratch::new(shards)).collect(),
         }
     }
 
-    /// Execute one clock cycle with the sharded stepper. Bit-identical
-    /// to [`Engine::step`] for every shard/thread count; `shards <= 1`
-    /// *is* [`Engine::step`]. The plan must have been built by
-    /// [`Engine::shard_plan`] on an engine of the same topology.
+    /// Execute one clock cycle with the sharded stepper: a one-cycle
+    /// segment (see [`Engine::run_sharded`]).
     pub fn step_sharded(&mut self, plan: &mut ShardPlan)
     where
         F: Sync,
     {
-        if plan.shards <= 1 {
-            self.step();
-            return;
-        }
-        // The sharded stepper walks the canonical per-router structs;
-        // leave any mounted SoA/wheel execution mode first.
-        self.to_aos();
-        debug_assert_eq!(
-            *plan.router_starts.last().unwrap(),
-            self.w.num_routers,
-            "shard plan built for a different topology"
-        );
-
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        self.shard_phase_link(plan);
-        self.link_barrier(plan);
-        self.shard_phase_xbar(plan);
-        self.xbar_barrier(plan);
-        self.shard_phase_route_prepare(plan);
-        self.apply_route_decisions(plan);
-        self.shard_phase_injection_ticks(plan);
-        self.apply_injection(plan);
-
-        self.end_cycle();
+        self.run_sharded(1, plan);
     }
 
     /// Advance the simulation by `cycles` clocks with the sharded
-    /// stepper.
+    /// stepper, as one segment: the lanes are cut into a per-router
+    /// partition when it starts and folded back into the banks when it
+    /// ends. Bit-identical to [`Engine::run`] for every shard/thread
+    /// count; `shards <= 1` *is* [`Engine::run`]. The plan must have
+    /// been built by [`Engine::shard_plan`] on an engine of the same
+    /// topology.
     pub fn run_sharded(&mut self, cycles: u32, plan: &mut ShardPlan)
     where
         F: Sync,
     {
-        for _ in 0..cycles {
-            self.step_sharded(plan);
+        if plan.shards <= 1 {
+            return self.run(cycles);
         }
+        let _ = self.sharded_segment(cycles, plan, false, false);
     }
 
     /// [`Engine::run_checked`] on the sharded stepper: the watchdog
@@ -907,17 +1007,147 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         F: Sync,
     {
         self.report_stall = true;
-        for _ in 0..cycles {
-            self.step_sharded(plan);
-            if let Some(s) = self.stall {
-                return Err(s);
+        if plan.shards <= 1 {
+            return self.run_checked(cycles);
+        }
+        self.sharded_segment(cycles, plan, false, true)
+    }
+
+    /// Advance by `cycles` clocks with the wheel×shards composition:
+    /// the sharded phases 1–3, with the injection phase driven by a
+    /// calendar wheel partitioned along the plan's node ranges, and the
+    /// idle fast-forward of [`Engine::run_wheel`] (the skip predicate
+    /// spans every wheel part, so the minimum next-fire across shards
+    /// bounds the jump). Bit-identical to every other stepper for any
+    /// shard/thread count; `shards <= 1` *is* [`Engine::run_wheel`].
+    pub fn run_wheel_sharded(&mut self, cycles: u32, plan: &mut ShardPlan)
+    where
+        F: Sync,
+    {
+        if plan.shards <= 1 {
+            return self.run_wheel(cycles);
+        }
+        let _ = self.sharded_segment(cycles, plan, true, false);
+    }
+
+    /// [`Engine::run_wheel_sharded`] with the watchdog reporting a
+    /// [`Stall`] instead of panicking.
+    pub fn run_checked_wheel_sharded(
+        &mut self,
+        cycles: u32,
+        plan: &mut ShardPlan,
+    ) -> Result<(), Stall>
+    where
+        F: Sync,
+    {
+        self.report_stall = true;
+        if plan.shards <= 1 {
+            return self.run_checked_wheel(cycles);
+        }
+        self.sharded_segment(cycles, plan, true, true)
+    }
+
+    /// One sharded segment of `cycles` cycles (wheel-driven injection
+    /// if `wheel`): mount the partition, step, fold it back. With
+    /// `checked`, a watchdog stall ends the segment early.
+    fn sharded_segment(
+        &mut self,
+        cycles: u32,
+        plan: &mut ShardPlan,
+        wheel: bool,
+        checked: bool,
+    ) -> Result<(), Stall>
+    where
+        F: Sync,
+    {
+        debug_assert_eq!(
+            *plan.router_starts.last().unwrap(),
+            self.w.num_routers,
+            "shard plan built for a different topology"
+        );
+        if wheel {
+            // (Re)mount the wheel on the plan's node partition. A wheel
+            // with a different partition is replayed away first; the
+            // round-trip is bit-identical because the wheel is a pure
+            // per-node RNG time shift.
+            let mounted = self
+                .wheel
+                .as_ref()
+                .is_some_and(|w| w.partitioned_as(&plan.node_starts));
+            if !mounted {
+                self.leave_wheel();
+                self.enter_wheel(&plan.node_starts);
+            }
+        } else {
+            self.leave_wheel();
+        }
+        let mut part = Partition::mount(&mut self.banks, self.lanes_per_router, self.w.ports);
+        let target = self.cycle + cycles;
+        let mut result = Ok(());
+        while self.cycle < target {
+            if wheel {
+                self.wheel_skip_idle(target);
+                if self.cycle >= target {
+                    break;
+                }
+            }
+            self.shard_cycle(&mut part, plan, wheel);
+            if let Some(s) = self.stall.filter(|_| checked) {
+                result = Err(s);
+                break;
             }
         }
-        Ok(())
+        part.unmount(&mut self.banks);
+        result
+    }
+
+    /// One sharded cycle over a mounted partition.
+    fn shard_cycle(&mut self, part: &mut Partition, plan: &mut ShardPlan, wheel: bool)
+    where
+        F: Sync,
+    {
+        self.moves_this_cycle = 0;
+        if F::ACTIVE {
+            self.begin_fault_cycle();
+        }
+        self.shard_phase_link(part, plan);
+        self.link_barrier(part, plan);
+        self.shard_phase_xbar(part, plan);
+        self.xbar_barrier(part, plan);
+        self.shard_phase_route_prepare(part, plan);
+        self.apply_route_decisions(part, plan);
+        if wheel {
+            // Wheel-driven and serial: it already touches only the
+            // firing and backlogged nodes.
+            let mut w = self.wheel.take().expect("wheel mounted");
+            self.wheel_phase_injection(&mut w, |eng, n, created| {
+                eng.partition_inject_node(part, n, created)
+            });
+            self.wheel = Some(w);
+        } else {
+            self.shard_phase_injection_ticks(plan);
+            self.apply_injection(part, plan);
+        }
+        self.end_cycle();
+    }
+
+    /// The shared per-node injection body over the partition's lanes.
+    fn partition_inject_node(&mut self, part: &mut Partition, n: usize, created: Option<u32>) {
+        let rs = &part.routers[self.w.node_ports[n].0 as usize];
+        let lanes = NodeLanesMut {
+            lanes: &mut part.node_lanes,
+            base: n * self.vcs,
+            credits: &part.node_credits[n * self.vcs..(n + 1) * self.vcs],
+            occ: &mut part.node_lane_occ[n],
+            rr: part.node_lane_rr[n],
+        };
+        self.inject_node(n, created, lanes, || {
+            (rs.out_bound & rs.network_lanes).count_ones()
+        });
     }
 
     /// Phase 1, shard-parallel.
-    pub(super) fn shard_phase_link(&mut self, plan: &mut ShardPlan)
+    fn shard_phase_link(&mut self, part: &mut Partition, plan: &mut ShardPlan)
     where
         F: Sync,
     {
@@ -928,60 +1158,45 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             router_starts: &plan.router_starts,
             cycle: self.cycle,
             vcs: self.vcs,
+            lanes: self.lanes_per_router,
             request_reply: self.request_reply,
         };
-        let router_starts = &plan.router_starts;
-        let node_starts = &plan.node_starts;
-        let mut ctxs: Vec<LinkShard<'_>> = split_mut(&mut self.routers, router_starts)
-            .into_iter()
-            .zip(split_mut(&mut self.nodes, node_starts))
-            .zip(split_mut(&mut self.link_flits, &plan.link_flit_starts))
-            .zip(split_mut(
-                self.link_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.route_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.xbar_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.inject_work.words_mut(),
-                &plan.node_word_starts,
-            ))
-            .zip(plan.scratch.iter_mut())
+        let mut routers = split_mut(&mut part.routers, &plan.router_starts).into_iter();
+        let mut in_q = part.in_q.split(&plan.router_lane_starts).into_iter();
+        let mut out_q = part.out_q.split(&plan.router_lane_starts).into_iter();
+        let mut node_lanes = part.node_lanes.split(&plan.node_lane_starts).into_iter();
+        let mut node_credits =
+            split_mut(&mut part.node_credits, &plan.node_lane_starts).into_iter();
+        let mut node_occ = split_mut(&mut part.node_lane_occ, &plan.node_starts).into_iter();
+        let mut node_rr = split_mut(&mut part.node_lane_rr, &plan.node_starts).into_iter();
+        let mut link_flits = split_mut(&mut self.link_flits, &plan.link_flit_starts).into_iter();
+        let rw = &plan.router_word_starts;
+        let mut link_words = split_mut(self.link_work.words_mut(), rw).into_iter();
+        let mut route_words = split_mut(self.route_work.words_mut(), rw).into_iter();
+        let mut xbar_words = split_mut(self.xbar_work.words_mut(), rw).into_iter();
+        let mut inject_words =
+            split_mut(self.inject_work.words_mut(), &plan.node_word_starts).into_iter();
+        let mut ctxs: Vec<LinkShard<'_>> = plan
+            .scratch
+            .iter_mut()
             .enumerate()
-            .map(
-                |(
-                    i,
-                    (
-                        (
-                            (
-                                ((((routers, nodes), link_flits), link_words), route_words),
-                                xbar_words,
-                            ),
-                            inject_words,
-                        ),
-                        scratch,
-                    ),
-                )| {
-                    LinkShard {
-                        router_base: router_starts[i],
-                        node_base: node_starts[i],
-                        routers,
-                        nodes,
-                        link_flits,
-                        link_words,
-                        route_words,
-                        xbar_words,
-                        inject_words,
-                        scratch,
-                    }
-                },
-            )
+            .map(|(i, scratch)| LinkShard {
+                router_base: plan.router_starts[i],
+                node_base: plan.node_starts[i],
+                routers: routers.next().expect("one range per shard"),
+                in_q: in_q.next().expect("one range per shard"),
+                out_q: out_q.next().expect("one range per shard"),
+                node_lanes: node_lanes.next().expect("one range per shard"),
+                node_credits: node_credits.next().expect("one range per shard"),
+                node_occ: node_occ.next().expect("one range per shard"),
+                node_rr: node_rr.next().expect("one range per shard"),
+                link_flits: link_flits.next().expect("one range per shard"),
+                link_words: link_words.next().expect("one range per shard"),
+                route_words: route_words.next().expect("one range per shard"),
+                xbar_words: xbar_words.next().expect("one range per shard"),
+                inject_words: inject_words.next().expect("one range per shard"),
+                scratch,
+            })
             .collect();
         run_shards(plan.threads, &mut ctxs, |sh| link_worker(&env, sh));
     }
@@ -1011,7 +1226,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// handoffs in fixed total order, apply the deferred delivered
     /// stamps, replay the buffered probe events in serial order, spawn
     /// replies, and merge the counter deltas.
-    pub(super) fn link_barrier(&mut self, plan: &mut ShardPlan) {
+    fn link_barrier(&mut self, part: &mut Partition, plan: &mut ShardPlan) {
         let cycle = self.cycle;
         let shards = plan.shards;
         // Handoff drain order: destination-shard major, source-shard
@@ -1023,16 +1238,17 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 let mut q = std::mem::take(&mut plan.scratch[src].flits_out[dst]);
                 for (r2, dl, f) in q.drain(..) {
                     let (r2, dl) = (r2 as usize, dl as usize);
-                    let rs = &mut self.routers[r2];
-                    let was_empty = rs.in_q[dl].is_empty();
-                    rs.in_q[dl].push(f);
+                    let rs = &mut part.routers[r2];
+                    let dq = r2 * part.lanes + dl;
+                    let was_empty = part.in_q.is_empty(dq);
+                    part.in_q.push(dq, f);
                     rs.in_occ |= 1u64 << dl;
                     if was_empty && f.is_head() {
                         debug_assert_eq!(rs.in_route[dl], NO_ROUTE);
                         rs.pending |= 1 << dl;
                         self.route_work.insert(r2);
                     }
-                    if self.routers[r2].routed & (1u64 << dl) != 0 {
+                    if rs.routed & (1u64 << dl) != 0 {
                         // Body/tail arriving on a lane whose head
                         // already holds a crossbar path.
                         self.xbar_work.insert(r2);
@@ -1084,17 +1300,16 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         // phase must visit those nodes this cycle (mirror of the hook
         // in `wheel_step_inner`). A plain sharded run has no wheel
         // mounted and skips this.
-        if let Some(w) = self.wheel.as_mut() {
-            for &req in &self.reply_buf {
-                w.backlog.insert(self.packets[req as usize].dest as usize);
-            }
+        if let Some(mut w) = self.wheel.take() {
+            self.wheel_note_replies(&mut w);
+            self.wheel = Some(w);
         }
         self.spawn_replies();
         self.merge_shard_counters(plan);
     }
 
     /// Phase 2, shard-parallel.
-    pub(super) fn shard_phase_xbar(&mut self, plan: &mut ShardPlan)
+    fn shard_phase_xbar(&mut self, part: &mut Partition, plan: &mut ShardPlan)
     where
         F: Sync,
     {
@@ -1105,33 +1320,27 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             vcs: self.vcs,
             lanes_per_router: self.lanes_per_router,
         };
-        let router_starts = &plan.router_starts;
-        let mut ctxs: Vec<XbarShard<'_>> = split_mut(&mut self.routers, router_starts)
-            .into_iter()
-            .zip(split_mut(
-                self.link_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.route_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(split_mut(
-                self.xbar_work.words_mut(),
-                &plan.router_word_starts,
-            ))
-            .zip(plan.scratch.iter_mut())
+        let mut routers = split_mut(&mut part.routers, &plan.router_starts).into_iter();
+        let mut in_q = part.in_q.split(&plan.router_lane_starts).into_iter();
+        let mut out_q = part.out_q.split(&plan.router_lane_starts).into_iter();
+        let rw = &plan.router_word_starts;
+        let mut link_words = split_mut(self.link_work.words_mut(), rw).into_iter();
+        let mut route_words = split_mut(self.route_work.words_mut(), rw).into_iter();
+        let mut xbar_words = split_mut(self.xbar_work.words_mut(), rw).into_iter();
+        let mut ctxs: Vec<XbarShard<'_>> = plan
+            .scratch
+            .iter_mut()
             .enumerate()
-            .map(
-                |(i, ((((routers, link_words), route_words), xbar_words), scratch))| XbarShard {
-                    router_base: router_starts[i],
-                    routers,
-                    link_words,
-                    route_words,
-                    xbar_words,
-                    scratch,
-                },
-            )
+            .map(|(i, scratch)| XbarShard {
+                router_base: plan.router_starts[i],
+                routers: routers.next().expect("one range per shard"),
+                in_q: in_q.next().expect("one range per shard"),
+                out_q: out_q.next().expect("one range per shard"),
+                link_words: link_words.next().expect("one range per shard"),
+                route_words: route_words.next().expect("one range per shard"),
+                xbar_words: xbar_words.next().expect("one range per shard"),
+                scratch,
+            })
             .collect();
         run_shards(plan.threads, &mut ctxs, |sh| xbar_worker::<F>(&env, sh));
     }
@@ -1139,17 +1348,15 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// Serial barrier after the crossbar phase: apply the deferred
     /// credit acknowledgments (cross-shard router credits in fixed
     /// total order, then all node-side credits) and merge deltas.
-    pub(super) fn xbar_barrier(&mut self, plan: &mut ShardPlan) {
+    fn xbar_barrier(&mut self, part: &mut Partition, plan: &mut ShardPlan) {
         let shards = plan.shards;
         for dst in 0..shards {
             for src in 0..shards {
                 let mut q = std::mem::take(&mut plan.scratch[src].credits_out[dst]);
                 for (r2, ul) in q.drain(..) {
-                    let up = &mut self.routers[r2 as usize];
+                    let up = &mut part.routers[r2 as usize];
                     up.out_credits[ul as usize] += 1;
-                    debug_assert!(
-                        up.out_credits[ul as usize] as usize <= up.out_q[ul as usize].capacity()
-                    );
+                    debug_assert!(up.out_credits[ul as usize] as usize <= part.out_q.capacity());
                 }
                 plan.scratch[src].credits_out[dst] = q;
             }
@@ -1157,11 +1364,9 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         for i in 0..shards {
             let mut q = std::mem::take(&mut plan.scratch[i].node_credits);
             for (nn, v) in q.drain(..) {
-                let node = &mut self.nodes[nn as usize];
-                node.credits[v as usize] += 1;
-                debug_assert!(
-                    node.credits[v as usize] as usize <= node.lanes[v as usize].capacity()
-                );
+                let ni = nn as usize * self.vcs + v as usize;
+                part.node_credits[ni] += 1;
+                debug_assert!(part.node_credits[ni] as usize <= part.node_lanes.capacity());
             }
             plan.scratch[i].node_credits = q;
         }
@@ -1169,12 +1374,14 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     }
 
     /// Phase 3 preparation, shard-parallel (read-only).
-    pub(super) fn shard_phase_route_prepare(&mut self, plan: &mut ShardPlan)
+    fn shard_phase_route_prepare(&mut self, part: &Partition, plan: &mut ShardPlan)
     where
         F: Sync,
     {
         let env = RouteEnv {
-            routers: &self.routers,
+            routers: &part.routers,
+            in_q: &part.in_q,
+            lanes: self.lanes_per_router,
             route_words: self.route_work.words(),
             packets: &self.packets,
             algo: self.algo,
@@ -1201,7 +1408,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// (shard-ascending, ascending within a shard) and apply the
     /// results — exactly the serial stepper's order of RNG draws,
     /// counter updates and probe calls.
-    pub(super) fn apply_route_decisions(&mut self, plan: &mut ShardPlan) {
+    fn apply_route_decisions(&mut self, part: &mut Partition, plan: &mut ShardPlan) {
         let lanes = self.lanes_per_router;
         for i in 0..plan.shards {
             let mut decisions = std::mem::take(&mut plan.scratch[i].decisions);
@@ -1211,13 +1418,30 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 if d.unroutable {
                     // Degraded-mode dead end: drop the packet and hand
                     // the lane to the crossbar phase for draining.
-                    self.start_drop(r, l, d.packet);
-                    self.routers[r].route_rr = ((l + 1) % lanes) as u32;
+                    let rs = &mut part.routers[r];
+                    rs.in_route[l] = DROP_ROUTE;
+                    rs.routed |= 1u64 << l;
+                    rs.pending &= !(1 << l);
+                    rs.route_rr = ((l + 1) % lanes) as u32;
+                    self.xbar_work.insert(r);
+                    self.counters.dropped_packets += 1;
+                    self.probe.packet_dropped(self.cycle, d.packet, r as u32);
                 } else {
-                    let choice = self.select_output(r, &d.cand);
+                    let rs = &part.routers[r];
+                    let choice = select_output(
+                        &mut self.rng,
+                        &self.faults,
+                        r,
+                        self.vcs,
+                        rs.out_bound,
+                        &part.out_q,
+                        &rs.out_credits,
+                        r * lanes,
+                        &d.cand,
+                    );
                     match choice {
                         Some((ol, used_fallback)) => {
-                            let rs = &mut self.routers[r];
+                            let rs = &mut part.routers[r];
                             rs.in_route[l] = ol as u32;
                             rs.routed |= 1u64 << l;
                             rs.out_bound |= 1u64 << ol;
@@ -1248,9 +1472,9 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                                 .routing_blocked(self.cycle, d.packet, r as u32, l as u16);
                         }
                     }
-                    self.routers[r].route_rr = ((l + 1) % lanes) as u32;
+                    part.routers[r].route_rr = ((l + 1) % lanes) as u32;
                 }
-                if self.routers[r].pending == 0 {
+                if part.routers[r].pending == 0 {
                     self.route_work.remove(r);
                 }
                 let mut cand = d.cand;
@@ -1278,13 +1502,13 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         run_shards(plan.threads, &mut ctxs, |sh| tick_worker(pattern, sh));
     }
 
-    /// Serial remainder of the injection phase: mirror of
-    /// `Engine::phase_injection` with the creation ticks replaced by
+    /// Serial remainder of the injection phase: mirror of the default
+    /// stepper's injection phase with the creation ticks replaced by
     /// the recorded `(node, dest)` pairs (shard-ascending concatenation
     /// = ascending node order), so packet ids, probe events, queueing
     /// and streaming all happen in the serial per-node order. The
     /// per-node body itself is the shared `Engine::inject_node`.
-    fn apply_injection(&mut self, plan: &mut ShardPlan) {
+    fn apply_injection(&mut self, part: &mut Partition, plan: &mut ShardPlan) {
         let mut si = 0usize; // shard cursor into the creation records
         let mut pi = 0usize;
         for n in 0..self.w.num_nodes {
@@ -1303,7 +1527,7 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             } else {
                 None
             };
-            self.inject_node(n, created);
+            self.partition_inject_node(part, n, created);
         }
         for sh in plan.scratch.iter_mut() {
             sh.creations.clear();

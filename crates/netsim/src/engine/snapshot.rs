@@ -26,7 +26,10 @@
 //!   of serializing bitsets;
 //! * **shard plans**: the sharded stepper drains its scratch queues at
 //!   every phase barrier and plans are rebuilt lazily, so a snapshot
-//!   taken between cycles restores under either stepper.
+//!   taken between cycles restores under either stepper;
+//! * **the lane layout**: the writer reads the lane banks directly, and
+//!   the byte format below is the same per-router, per-node record
+//!   sequence whatever layout produced it.
 //!
 //! # Binary format (version 1, all integers little-endian)
 //!
@@ -44,10 +47,11 @@
 //! restore contract "same `state_hash` ⟹ same future" is exactly the
 //! determinism statement above.
 
-use super::{Counters, Engine, RouterState};
+use super::soa::SoaBanks;
+use super::{Counters, Engine};
 use crate::fault::FaultModel;
 use crate::flit::{Flit, PacketRec};
-use crate::queue::FlitQueue;
+use crate::queue::QueueBank;
 use netstats::cache::{fnv1a, fnv1a_extend};
 use routing::RoutingAlgorithm;
 use telemetry::Probe;
@@ -196,9 +200,10 @@ impl Enc {
             self.u64(word);
         }
     }
-    pub(crate) fn queue(&mut self, q: &FlitQueue) {
-        self.u8(q.len() as u8);
-        for f in q.iter() {
+    /// Lane `l` of `q`: its length, then its flits front to back.
+    pub(crate) fn queue(&mut self, q: &QueueBank, l: usize) {
+        self.u8(q.len(l) as u8);
+        for f in q.iter(l) {
             self.u32(f.packet);
             self.u32(f.moved);
             self.u8(f.flags);
@@ -242,22 +247,27 @@ impl<'b> Dec<'b> {
             self.u64()?,
         ]))
     }
-    pub(crate) fn queue(&mut self, cap: usize) -> Result<FlitQueue, SnapshotError> {
+    /// Decode one lane into the empty lane `l` of `q` (the inverse of
+    /// [`Enc::queue`]).
+    pub(crate) fn queue(&mut self, q: &mut QueueBank, l: usize) -> Result<(), SnapshotError> {
         let len = self.u8()? as usize;
-        if len > cap {
+        if len > q.capacity() {
             return Err(SnapshotError::Corrupt(format!(
-                "lane holds {len} flits but capacity is {cap}"
+                "lane holds {len} flits but capacity is {}",
+                q.capacity()
             )));
         }
-        let mut q = FlitQueue::new(cap);
         for _ in 0..len {
-            q.push(Flit {
-                packet: self.u32()?,
-                moved: self.u32()?,
-                flags: self.u8()?,
-            });
+            q.push(
+                l,
+                Flit {
+                    packet: self.u32()?,
+                    moved: self.u32()?,
+                    flags: self.u8()?,
+                },
+            );
         }
-        Ok(q)
+        Ok(())
     }
     pub(crate) fn done(&self) -> Result<(), SnapshotError> {
         if self.pos != self.bytes.len() {
@@ -303,7 +313,7 @@ pub(crate) fn decode_counters(d: &mut Dec) -> Result<Counters, SnapshotError> {
 impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P, F> {
     /// The lane depth this engine was built with.
     fn buffer_depth(&self) -> usize {
-        self.routers[0].in_q[0].capacity()
+        self.banks.in_q.capacity()
     }
 
     /// Serialize the state section (everything between the ident and
@@ -328,30 +338,33 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         e.u16(self.flits_per_packet);
         e.u8(self.buffer_depth() as u8);
 
-        for rs in &self.routers {
-            for q in &rs.in_q {
-                e.queue(q);
+        let b = &self.banks;
+        let (lanes, ports, vcs) = (self.lanes_per_router, self.w.ports, self.vcs);
+        for r in 0..self.w.num_routers {
+            let ls = r * lanes..(r + 1) * lanes;
+            for l in ls.clone() {
+                e.queue(&b.in_q, l);
             }
-            for &r in &rs.in_route {
-                e.u32(r);
+            for &route in &b.in_route[ls.clone()] {
+                e.u32(route);
             }
-            for q in &rs.out_q {
-                e.queue(q);
+            for l in ls.clone() {
+                e.queue(&b.out_q, l);
             }
-            for &c in &rs.out_credits {
+            for &c in &b.out_credits[ls] {
                 e.u8(c);
             }
-            e.u64(rs.out_bound);
-            e.u64(rs.pending);
-            e.u64(rs.in_occ);
-            e.u64(rs.out_occ);
-            e.u64(rs.routed);
-            e.u32(rs.route_rr);
-            for &rr in &rs.link_rr {
+            e.u64(b.out_bound[r]);
+            e.u64(b.pending[r]);
+            e.u64(b.in_occ[r]);
+            e.u64(b.out_occ[r]);
+            e.u64(b.routed[r]);
+            e.u32(b.route_rr[r]);
+            for &rr in &b.link_rr[r * ports..(r + 1) * ports] {
                 e.u8(rr);
             }
         }
-        for ns in &self.nodes {
+        for (n, ns) in self.nodes.iter().enumerate() {
             e.u32(ns.src_queue.len() as u32);
             for &id in &ns.src_queue {
                 e.u32(id);
@@ -369,14 +382,14 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
                 }
             }
             e.u8(ns.active_lane);
-            for q in &ns.lanes {
-                e.queue(q);
+            for l in n * vcs..(n + 1) * vcs {
+                e.queue(&b.node_lanes, l);
             }
-            for &c in &ns.credits {
+            for &c in &b.node_credits[n * vcs..(n + 1) * vcs] {
                 e.u8(c);
             }
-            e.u64(ns.lane_occ);
-            e.u8(ns.lane_rr);
+            e.u64(b.node_lane_occ[n]);
+            e.u8(b.node_lane_rr[n]);
             e.rng(&ns.rng);
             e.u64(ns.proc.state_word());
         }
@@ -401,11 +414,11 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// (the scenario layer uses its scenario/fault digest); restore
     /// refuses a snapshot whose ident differs.
     ///
-    /// Leaves any mounted execution mode first ([`Engine::to_aos`]), so
-    /// the serialized bytes are independent of which stepper produced
-    /// the state.
+    /// Replays a mounted event wheel away first
+    /// (`Engine::leave_wheel`), so the serialized bytes are
+    /// independent of which stepper produced the state.
     pub fn snapshot(&mut self, ident: u64) -> EngineSnapshot {
-        self.to_aos();
+        self.leave_wheel();
         let mut e = Enc {
             buf: Vec::with_capacity(4096),
         };
@@ -421,10 +434,10 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// FNV-1a over the serialized state section, without building the
     /// envelope: equal hashes ⟺ equal engine state (in an equal
     /// configuration). `eng.state_hash() == eng.snapshot(i).state_hash()`
-    /// for every `i`. Leaves any mounted execution mode
-    /// ([`Engine::to_aos`]).
+    /// for every `i`. Replays a mounted event wheel away
+    /// (`Engine::leave_wheel`).
     pub fn state_hash(&mut self) -> u64 {
-        self.to_aos();
+        self.leave_wheel();
         let mut e = Enc {
             buf: Vec::with_capacity(4096),
         };
@@ -439,10 +452,9 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
     /// `ident` contract. After a successful restore the engine's future
     /// is bit-identical to the snapshotted engine's.
     pub fn restore(&mut self, snap: &EngineSnapshot, ident: u64) -> Result<(), SnapshotError> {
-        // Leave any mounted execution mode: the geometry checks below
-        // read the canonical per-router structs, and a mode structure
-        // describing the pre-restore state must not survive it.
-        self.to_aos();
+        // A mounted wheel describes the pre-restore streams and must not
+        // survive the restore.
+        self.leave_wheel();
         if snap.ident() != ident {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot ident 0x{:016x} does not match configuration ident 0x{:016x}",
@@ -494,67 +506,43 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             )));
         }
 
-        // Decode into fresh state vectors first, so a corrupt tail
-        // leaves the engine untouched.
-        let lanes = self.lanes_per_router;
-        let ports = self.w.ports;
-        let mut routers: Vec<RouterState> = Vec::with_capacity(self.w.num_routers);
-        for old in &self.routers {
-            let mut in_q = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                in_q.push(d.queue(buf_depth)?);
+        // Decode into fresh banks first, so a corrupt tail leaves the
+        // engine untouched.
+        let (lanes, ports, vcs) = (self.lanes_per_router, self.w.ports, self.vcs);
+        let mut b = SoaBanks::new(&self.w, vcs, buf_depth);
+        for r in 0..self.w.num_routers {
+            for l in r * lanes..(r + 1) * lanes {
+                d.queue(&mut b.in_q, l)?;
             }
-            let mut in_route = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                in_route.push(d.u32()?);
+            for l in r * lanes..(r + 1) * lanes {
+                b.in_route[l] = d.u32()?;
             }
-            let mut out_q = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                out_q.push(d.queue(buf_depth)?);
+            for l in r * lanes..(r + 1) * lanes {
+                d.queue(&mut b.out_q, l)?;
             }
-            let mut out_credits = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                out_credits.push(d.u8()?);
+            for l in r * lanes..(r + 1) * lanes {
+                b.out_credits[l] = d.u8()?;
             }
-            let out_bound = d.u64()?;
-            let pending = d.u64()?;
-            let in_occ = d.u64()?;
-            let out_occ = d.u64()?;
-            let routed = d.u64()?;
-            let route_rr = d.u32()?;
-            let mut link_rr = Vec::with_capacity(ports);
-            for _ in 0..ports {
-                link_rr.push(d.u8()?);
+            b.out_bound[r] = d.u64()?;
+            b.pending[r] = d.u64()?;
+            b.in_occ[r] = d.u64()?;
+            b.out_occ[r] = d.u64()?;
+            b.routed[r] = d.u64()?;
+            b.route_rr[r] = d.u32()?;
+            for i in r * ports..(r + 1) * ports {
+                b.link_rr[i] = d.u8()?;
             }
-            routers.push(RouterState {
-                in_q,
-                in_route,
-                out_q,
-                out_credits,
-                out_bound,
-                network_lanes: old.network_lanes, // derived from wiring
-                pending,
-                in_occ,
-                out_occ,
-                routed,
-                route_rr,
-                link_rr,
-            });
         }
 
         struct NodePatch {
             src_queue: std::collections::VecDeque<u32>,
             active: Option<(u32, u16)>,
             active_lane: u8,
-            lanes: Vec<FlitQueue>,
-            credits: Vec<u8>,
-            lane_occ: u64,
-            lane_rr: u8,
             rng: Rng64,
             proc_word: u64,
         }
         let mut node_patches: Vec<NodePatch> = Vec::with_capacity(self.w.num_nodes);
-        for _ in 0..self.w.num_nodes {
+        for n in 0..self.w.num_nodes {
             let qlen = d.u32()? as usize;
             let mut src_queue = std::collections::VecDeque::with_capacity(qlen);
             for _ in 0..qlen {
@@ -565,22 +553,18 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
             let left = d.u16()?;
             let active = has_active.then_some((id, left));
             let active_lane = d.u8()?;
-            let mut lanes_q = Vec::with_capacity(self.vcs);
-            for _ in 0..self.vcs {
-                lanes_q.push(d.queue(buf_depth)?);
+            for l in n * vcs..(n + 1) * vcs {
+                d.queue(&mut b.node_lanes, l)?;
             }
-            let mut credits = Vec::with_capacity(self.vcs);
-            for _ in 0..self.vcs {
-                credits.push(d.u8()?);
+            for l in n * vcs..(n + 1) * vcs {
+                b.node_credits[l] = d.u8()?;
             }
+            b.node_lane_occ[n] = d.u64()?;
+            b.node_lane_rr[n] = d.u8()?;
             node_patches.push(NodePatch {
                 src_queue,
                 active,
                 active_lane,
-                lanes: lanes_q,
-                credits,
-                lane_occ: d.u64()?,
-                lane_rr: d.u8()?,
                 rng: d.rng()?,
                 proc_word: d.u64()?,
             });
@@ -613,15 +597,11 @@ impl<'a, A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'a, A, P,
         self.rng = rng;
         self.injection_limit = injection_limit;
         self.request_reply = request_reply;
-        self.routers = routers;
+        self.banks = b;
         for (ns, patch) in self.nodes.iter_mut().zip(node_patches) {
             ns.src_queue = patch.src_queue;
             ns.active = patch.active;
             ns.active_lane = patch.active_lane;
-            ns.lanes = patch.lanes;
-            ns.credits = patch.credits;
-            ns.lane_occ = patch.lane_occ;
-            ns.lane_rr = patch.lane_rr;
             ns.rng = patch.rng;
             ns.proc.restore_state_word(patch.proc_word);
         }

@@ -1,198 +1,85 @@
-//! Struct-of-arrays execution mode.
+//! The engine's resident state: struct-of-arrays lane banks, and the
+//! steppers that run over them.
 //!
-//! The classic steppers keep each router's lanes, credits and masks in
-//! its own `RouterState`, so a phase walk hops between heap objects and
-//! re-derives the per-phase predicate from scattered fields. This mode
-//! moves the hot per-lane state into flat, contiguous banks
-//! ([`SoaBanks`]) indexed `router * lanes + lane` (and the per-router
-//! masks into dense `Vec<u64>` arrays), so arbitration becomes a
-//! two-level word scan: the phase's worklist bitmap (one `u64` covers
-//! 64 routers) selects busy routers, and each busy router's lane mask
-//! is walked with word-wide `u64` ops — no per-lane pointer chasing
-//! through `RouterState` heap objects, and the credit/occupancy updates
-//! of a move land in dense arrays instead of scattered structs.
+//! Every router's lanes, credits and masks live in flat, contiguous
+//! banks ([`SoaBanks`]) indexed `router * lanes + lane` (node-side:
+//! `node * vcs + vc`), with the per-router masks in dense `Vec<u64>`
+//! arrays. Arbitration is then a two-level word scan: the phase's
+//! worklist bitmap (one `u64` covers 64 routers) selects busy routers,
+//! and each busy router's lane mask is walked with word-wide `u64` ops,
+//! so the credit/occupancy updates of a move land in dense arrays
+//! instead of scattered per-router heap objects.
 //!
-//! **Bit-identity.** The per-lane handler bodies are line-for-line
-//! translations of the `MASKED = true` handlers in `engine.rs`, the
-//! scans visit routers and nodes in the same ascending order as the
-//! active-set worklists (see `active.rs`), and the worklists themselves
-//! are maintained by the banked handlers exactly as their AoS
-//! counterparts maintain them — so every observable (counters, packet
-//! tables, the shared selection RNG's consumption order, probe event
-//! streams, worklist evolution) is identical to [`Engine::step`].
-//!
-//! The banks are entered lazily by the first [`Engine::step_soa`] (or
-//! [`Engine::step_wheel`]) call and written back by [`Engine::to_aos`],
-//! so the mode interleaves freely with the classic steppers, sharded
-//! stepping and snapshots.
+//! Every per-lane handler takes a `MASKED` flag that selects the scan
+//! strategy only. `MASKED = true` is the default stepper
+//! ([`Engine::step`]): it walks set mask bits and skips idle routers
+//! through the worklists. `MASKED = false` is the reference oracle
+//! ([`Engine::step_reference`]): it visits every router, node, port and
+//! lane and inspects each queue directly. The mutation bodies are the
+//! same either way, and both scans visit routers, ports and lanes in
+//! the same ascending (or round-robin) order — the order is observable
+//! through the shared selection-policy RNG — so the two steppers are
+//! bit-identical and interleave freely.
 
-use super::{Engine, Stall, DROP_ROUTE, NO_ROUTE};
+use super::{fault_unroutable, Engine, Stall, DROP_ROUTE, NO_ROUTE};
 use crate::fault::FaultModel;
 use crate::flit::{Flit, PacketRec, HEAD, NEVER, TAIL};
-use crate::queue::FlitQueue;
-use crate::wiring::Peer;
+use crate::queue::QueueBank;
+use crate::wiring::{Peer, Wiring};
 use routing::{CandidateSet, RoutingAlgorithm};
 use telemetry::{LinkKind, Probe};
 use topology::{NodeId, RouterId};
+use traffic::Rng64;
 
-/// A depth-packed bank of flit queues: one flat slot array strided by
-/// the *configured* lane depth (not [`crate::queue::MAX_DEPTH`]), with
-/// the head/length cursors of every lane packed into parallel byte
-/// arrays. A `FlitQueue` always reserves `MAX_DEPTH` slots, so at the
-/// experiments' depth-4 lanes half of every queue's footprint is dead
-/// padding; packing by the real depth doubles the number of lanes per
-/// cache line and keeps all cursors of a 64-lane router in one line.
-///
-/// Queue order is preserved relative to `FlitQueue` (front to back),
-/// and nothing downstream observes the ring's internal head offset —
-/// snapshots and state hashes serialize queues as `len` followed by
-/// the flits in iteration order — so loading and restoring through
-/// this bank is invisible to the bit-identity contract.
-struct QueueBank {
-    /// `lane * cap + i` for slot `i` of lane `lane`.
-    slots: Vec<Flit>,
-    /// Ring cursor of each lane's front flit, `0..cap`.
-    head: Vec<u8>,
-    /// Occupancy of each lane, `0..=cap`.
-    len: Vec<u8>,
-    /// The uniform lane depth.
-    cap: u8,
-}
-
-impl QueueBank {
-    /// An empty bank with room for `lanes` queues of depth `cap`.
-    fn with_lanes(lanes: usize, cap: usize) -> Self {
-        QueueBank {
-            slots: vec![
-                Flit {
-                    packet: 0,
-                    moved: 0,
-                    flags: 0,
-                };
-                lanes * cap
-            ],
-            head: Vec::with_capacity(lanes),
-            len: Vec::with_capacity(lanes),
-            cap: cap as u8,
-        }
-    }
-
-    /// Append the contents of one `FlitQueue` as the next lane.
-    fn load_lane(&mut self, q: &FlitQueue) {
-        debug_assert!(q.capacity() == self.cap as usize);
-        let base = self.head.len() * self.cap as usize;
-        for (i, f) in q.iter().enumerate() {
-            self.slots[base + i] = *f;
-        }
-        self.head.push(0);
-        self.len.push(q.len() as u8);
-    }
-
-    /// Lane `l` as a fresh `FlitQueue` (front-to-back order preserved).
-    fn restore_lane(&self, l: usize) -> FlitQueue {
-        let cap = self.cap as usize;
-        let mut q = FlitQueue::new(cap);
-        for i in 0..self.len[l] as usize {
-            let mut idx = self.head[l] as usize + i;
-            if idx >= cap {
-                idx -= cap;
-            }
-            q.push(self.slots[l * cap + idx]);
-        }
-        q
-    }
-
-    /// Depth of every lane in the bank.
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.cap as usize
-    }
-
-    /// Whether lane `l` holds no flits.
-    #[inline]
-    fn is_empty(&self, l: usize) -> bool {
-        self.len[l] == 0
-    }
-
-    /// Whether lane `l` is at capacity.
-    #[inline]
-    fn is_full(&self, l: usize) -> bool {
-        self.len[l] == self.cap
-    }
-
-    /// Free slots in lane `l`.
-    #[inline]
-    fn free(&self, l: usize) -> usize {
-        (self.cap - self.len[l]) as usize
-    }
-
-    /// The front flit of lane `l`, if any.
-    #[inline]
-    fn front(&self, l: usize) -> Option<&Flit> {
-        if self.len[l] == 0 {
-            return None;
-        }
-        Some(&self.slots[l * self.cap as usize + self.head[l] as usize])
-    }
-
-    /// Remove and return the front flit of lane `l` (which must be
-    /// non-empty; every caller checks via [`QueueBank::front`] first).
-    #[inline]
-    fn pop(&mut self, l: usize) -> Flit {
-        debug_assert!(self.len[l] > 0, "pop from empty lane");
-        let cap = self.cap as usize;
-        let h = self.head[l] as usize;
-        let f = self.slots[l * cap + h];
-        self.head[l] = if h + 1 == cap { 0 } else { (h + 1) as u8 };
-        self.len[l] -= 1;
-        f
-    }
-
-    /// Append a flit to the back of lane `l` (which must have space).
-    #[inline]
-    fn push(&mut self, l: usize, f: Flit) {
-        let cap = self.cap as usize;
-        debug_assert!((self.len[l] as usize) < cap, "push to full lane");
-        let mut idx = self.head[l] as usize + self.len[l] as usize;
-        if idx >= cap {
-            idx -= cap;
-        }
-        self.slots[l * cap + idx] = f;
-        self.len[l] += 1;
-    }
-}
-
-/// The flat lane banks of the SoA execution mode.
+/// The flat lane banks every stepper runs over.
 ///
 /// Layouts: per-lane arrays are indexed `router * lanes_per_router +
 /// lane` (node-side: `node * vcs + vc`), per-router mask/cursor arrays
 /// by router id, and the per-port link round-robin cursors by
-/// `router * ports + port`. The queue banks are depth-packed copies of
-/// the router/node `FlitQueue`s (see `QueueBank`); the structs keep
-/// their now-stale queues until [`Engine::to_aos`] overwrites them on
-/// write-back. Scalar state is copied in and copied back, so entering
-/// and leaving the mode is linear and allocation-light.
+/// `router * ports + port`.
+#[derive(Default)]
 pub struct SoaBanks {
     // Router state, lane-indexed.
-    in_q: QueueBank,
-    in_route: Vec<u32>,
-    out_q: QueueBank,
-    out_credits: Vec<u8>,
+    /// Input lanes.
+    pub(super) in_q: QueueBank,
+    /// Assigned output lane per input lane (`NO_ROUTE` if none; applies
+    /// to the packet at the head of the lane).
+    pub(super) in_route: Vec<u32>,
+    /// Output lanes.
+    pub(super) out_q: QueueBank,
+    /// Credits: free buffers in the downstream input lane.
+    pub(super) out_credits: Vec<u8>,
     // Router state, router-indexed.
-    out_bound: Vec<u64>,
-    network_lanes: Vec<u64>,
-    pending: Vec<u64>,
-    in_occ: Vec<u64>,
-    out_occ: Vec<u64>,
-    routed: Vec<u64>,
-    route_rr: Vec<u32>,
+    /// Output lanes a crossbar path currently ends at.
+    pub(super) out_bound: Vec<u64>,
+    /// Output lanes on ports cabled to another router (used by the
+    /// limited-injection throttle; derived from the wiring).
+    pub(super) network_lanes: Vec<u64>,
+    /// Input lanes holding an unrouted header at the front.
+    pub(super) pending: Vec<u64>,
+    /// Non-empty input lanes.
+    pub(super) in_occ: Vec<u64>,
+    /// Non-empty output lanes.
+    pub(super) out_occ: Vec<u64>,
+    /// Input lanes with an assigned route (mirror of `in_route[l] !=
+    /// NO_ROUTE`, kept as a mask so the crossbar phase can intersect it
+    /// with `in_occ`).
+    pub(super) routed: Vec<u64>,
+    /// Round-robin cursor of the routing phase.
+    pub(super) route_rr: Vec<u32>,
     // Router state, port-indexed.
-    link_rr: Vec<u8>,
+    /// Round-robin cursor of each port's link arbiter.
+    pub(super) link_rr: Vec<u8>,
     // Node state, lane- and node-indexed.
-    node_lanes: QueueBank,
-    node_credits: Vec<u8>,
-    node_lane_occ: Vec<u64>,
-    node_lane_rr: Vec<u8>,
+    /// Node-side injection lanes (one per VC).
+    pub(super) node_lanes: QueueBank,
+    /// Credits towards the router's node-port input lanes.
+    pub(super) node_credits: Vec<u8>,
+    /// Non-empty node-side lanes.
+    pub(super) node_lane_occ: Vec<u64>,
+    /// Round-robin cursor for lane choice and the injection link
+    /// arbiter.
+    pub(super) node_lane_rr: Vec<u8>,
     // Local-lane decomposition tables (`ll -> (port, vc)`), shared by
     // every router: the hot handlers replace the `ll / vcs` and
     // `ll % vcs` divisions with two cache-resident byte loads.
@@ -200,132 +87,212 @@ pub struct SoaBanks {
     lane_vc: Vec<u8>,
 }
 
-impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> {
-    /// Copy the hot lane state into freshly built [`SoaBanks`]. The
-    /// engine must currently be in AoS mode.
-    pub(super) fn enter_soa(&mut self) {
-        debug_assert!(self.soa.is_none(), "SoA banks already mounted");
-        let nr = self.w.num_routers;
-        let nn = self.w.num_nodes;
-        let lanes = self.lanes_per_router;
-        let ports = self.w.ports;
-        let vcs = self.vcs;
-        let depth = self.routers[0].in_q[0].capacity();
-        let mut b = Box::new(SoaBanks {
-            in_q: QueueBank::with_lanes(nr * lanes, depth),
-            in_route: Vec::with_capacity(nr * lanes),
-            out_q: QueueBank::with_lanes(nr * lanes, depth),
-            out_credits: Vec::with_capacity(nr * lanes),
-            out_bound: Vec::with_capacity(nr),
-            network_lanes: Vec::with_capacity(nr),
-            pending: Vec::with_capacity(nr),
-            in_occ: Vec::with_capacity(nr),
-            out_occ: Vec::with_capacity(nr),
-            routed: Vec::with_capacity(nr),
-            route_rr: Vec::with_capacity(nr),
-            link_rr: Vec::with_capacity(nr * ports),
-            node_lanes: QueueBank::with_lanes(nn * vcs, depth),
-            node_credits: Vec::with_capacity(nn * vcs),
-            node_lane_occ: Vec::with_capacity(nn),
-            node_lane_rr: Vec::with_capacity(nn),
+impl SoaBanks {
+    /// Empty banks for a network wired as `w` with `vcs` lanes per port
+    /// of depth `depth`: every queue empty, every credit full.
+    pub(super) fn new(w: &Wiring, vcs: usize, depth: usize) -> Self {
+        let (nr, nn, ports) = (w.num_routers, w.num_nodes, w.ports);
+        let lanes = ports * vcs;
+        let port_lanes = (1u64 << vcs) - 1;
+        SoaBanks {
+            in_q: QueueBank::new(nr * lanes, depth),
+            in_route: vec![NO_ROUTE; nr * lanes],
+            out_q: QueueBank::new(nr * lanes, depth),
+            out_credits: vec![depth as u8; nr * lanes],
+            out_bound: vec![0; nr],
+            network_lanes: (0..nr)
+                .map(|r| {
+                    (0..ports)
+                        .filter(|&p| matches!(w.peer(r, p), Peer::Router { .. }))
+                        .fold(0, |m, p| m | port_lanes << (p * vcs))
+                })
+                .collect(),
+            pending: vec![0; nr],
+            in_occ: vec![0; nr],
+            out_occ: vec![0; nr],
+            routed: vec![0; nr],
+            route_rr: vec![0; nr],
+            link_rr: vec![0; nr * ports],
+            node_lanes: QueueBank::new(nn * vcs, depth),
+            node_credits: vec![depth as u8; nn * vcs],
+            node_lane_occ: vec![0; nn],
+            node_lane_rr: vec![0; nn],
             lane_port: (0..lanes).map(|ll| (ll / vcs) as u8).collect(),
             lane_vc: (0..lanes).map(|ll| (ll % vcs) as u8).collect(),
+        }
+    }
+
+    /// Drop every lane, route, credit, mask and cursor array, keeping
+    /// only the wiring-derived tables: the sharded stepper holds the
+    /// lane state meanwhile and writes the arrays back.
+    pub(super) fn release(&mut self) {
+        *self = SoaBanks {
+            network_lanes: std::mem::take(&mut self.network_lanes),
+            lane_port: std::mem::take(&mut self.lane_port),
+            lane_vc: std::mem::take(&mut self.lane_vc),
+            ..SoaBanks::default()
+        };
+    }
+}
+
+/// Bit `j` set iff `vals[j] != 0` (`vals.len() <= 64`): which of a
+/// worklist word's routers still satisfy their phase condition. LLVM
+/// vectorizes this loop on its own.
+#[inline]
+fn nonzero_mask(vals: &[u64]) -> u64 {
+    debug_assert!(vals.len() <= 64);
+    let mut mask = 0u64;
+    for (j, &v) in vals.iter().enumerate() {
+        mask |= u64::from(v != 0) << j;
+    }
+    mask
+}
+
+/// Bit `j` set iff `a[j] & b[j] != 0` — [`nonzero_mask`] over a
+/// lanewise AND.
+#[inline]
+fn and_nonzero_mask(a: &[u64], b: &[u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    debug_assert!(a.len() <= 64);
+    let mut mask = 0u64;
+    for (j, (&va, &vb)) in a.iter().zip(b).enumerate() {
+        mask |= u64::from(va & vb != 0) << j;
+    }
+    mask
+}
+
+/// The node-side lane state the shared injection body works on: the
+/// node's lanes in `lanes` at `base + vc`, its credits (`credits[vc]`),
+/// its occupancy mask and round-robin cursor.
+pub(super) struct NodeLanesMut<'b> {
+    pub(super) lanes: &'b mut QueueBank,
+    pub(super) base: usize,
+    pub(super) credits: &'b [u8],
+    pub(super) occ: &'b mut u64,
+    pub(super) rr: u8,
+}
+
+/// The selection policy: among admissible preferred lanes pick the
+/// port with the most free virtual channels (fair random tie-break on
+/// the shared `rng`), then the lane with the most headroom on that
+/// port; fall back to the first admissible escape lane. Returns the
+/// chosen router-local output lane and whether the fallback class was
+/// used. Lanes on currently-down channels are never admissible.
+///
+/// Router `r`'s output lane `ll` is `out_q` lane `base + ll` (`base =
+/// r * lanes_per_router` in a whole bank), with its credits at
+/// `out_credits[ll]`.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn select_output<F: FaultModel>(
+    rng: &mut Rng64,
+    faults: &F,
+    r: usize,
+    vcs: usize,
+    out_bound: u64,
+    out_q: &QueueBank,
+    out_credits: &[u8],
+    base: usize,
+    cand: &CandidateSet,
+) -> Option<(usize, bool)> {
+    let admissible = |lane: usize| {
+        out_bound & (1u64 << lane) == 0
+            && !out_q.is_full(base + lane)
+            && !(F::ACTIVE && faults.channel_down(r, lane / vcs))
+    };
+
+    // Pass 1: best port among preferred candidates.
+    let mut best_port: Option<usize> = None;
+    let mut best_score = 0usize;
+    let mut ties = 0u64;
+    let mut last_port = usize::MAX;
+    for c in &cand.preferred {
+        let port = c.port as usize;
+        if port == last_port {
+            continue; // candidates are grouped by port
+        }
+        last_port = port;
+        let has_admissible = (0..vcs).any(|v| {
+            cand.preferred
+                .iter()
+                .any(|cc| cc.port as usize == port && cc.vc as usize == v)
+                && admissible(port * vcs + v)
         });
-        for rs in &self.routers {
-            for q in &rs.in_q {
-                b.in_q.load_lane(q);
-            }
-            for q in &rs.out_q {
-                b.out_q.load_lane(q);
-            }
-            b.in_route.extend_from_slice(&rs.in_route);
-            b.out_credits.extend_from_slice(&rs.out_credits);
-            b.out_bound.push(rs.out_bound);
-            b.network_lanes.push(rs.network_lanes);
-            b.pending.push(rs.pending);
-            b.in_occ.push(rs.in_occ);
-            b.out_occ.push(rs.out_occ);
-            b.routed.push(rs.routed);
-            b.route_rr.push(rs.route_rr);
-            b.link_rr.extend_from_slice(&rs.link_rr);
+        if !has_admissible {
+            continue;
         }
-        for ns in &self.nodes {
-            for q in &ns.lanes {
-                b.node_lanes.load_lane(q);
+        let port_mask = ((1u64 << vcs) - 1) << (port * vcs);
+        let free_vcs = vcs - (out_bound & port_mask).count_ones() as usize;
+        if best_port.is_none() || free_vcs > best_score {
+            best_port = Some(port);
+            best_score = free_vcs;
+            ties = 1;
+        } else if free_vcs == best_score {
+            // Reservoir sampling for a fair tie-break.
+            ties += 1;
+            if rng.below(ties) == 0 {
+                best_port = Some(port);
             }
-            b.node_credits.extend_from_slice(&ns.credits);
-            b.node_lane_occ.push(ns.lane_occ);
-            b.node_lane_rr.push(ns.lane_rr);
-        }
-        self.soa = Some(b);
-    }
-
-    /// Write mounted banks back into the router/node structs (inverse
-    /// of [`Engine::enter_soa`]), overwriting the stale queues left
-    /// behind at mount time.
-    pub(super) fn soa_write_back(&mut self, banks: Box<SoaBanks>) {
-        let lanes = self.lanes_per_router;
-        let ports = self.w.ports;
-        let vcs = self.vcs;
-        let b = *banks;
-        for (r, rs) in self.routers.iter_mut().enumerate() {
-            for ll in 0..lanes {
-                rs.in_q[ll] = b.in_q.restore_lane(r * lanes + ll);
-                rs.out_q[ll] = b.out_q.restore_lane(r * lanes + ll);
-            }
-            rs.in_route
-                .copy_from_slice(&b.in_route[r * lanes..(r + 1) * lanes]);
-            rs.out_credits
-                .copy_from_slice(&b.out_credits[r * lanes..(r + 1) * lanes]);
-            rs.out_bound = b.out_bound[r];
-            rs.pending = b.pending[r];
-            rs.in_occ = b.in_occ[r];
-            rs.out_occ = b.out_occ[r];
-            rs.routed = b.routed[r];
-            rs.route_rr = b.route_rr[r];
-            rs.link_rr
-                .copy_from_slice(&b.link_rr[r * ports..(r + 1) * ports]);
-        }
-        for (n, ns) in self.nodes.iter_mut().enumerate() {
-            for v in 0..vcs {
-                ns.lanes[v] = b.node_lanes.restore_lane(n * vcs + v);
-            }
-            ns.credits
-                .copy_from_slice(&b.node_credits[n * vcs..(n + 1) * vcs]);
-            ns.lane_occ = b.node_lane_occ[n];
-            ns.lane_rr = b.node_lane_rr[n];
         }
     }
 
-    /// Execute one clock cycle in SoA mode, mounting the banks on first
-    /// use (and replaying away a mounted wheel: this stepper ticks
-    /// every injection process itself). Bit-identical to
-    /// [`Engine::step`].
-    pub fn step_soa(&mut self) {
-        if self.wheel.is_some() {
-            self.wheel_resync();
+    if let Some(port) = best_port {
+        // Pass 2: best lane on the chosen port.
+        let mut best_lane = None;
+        let mut best_headroom = 0usize;
+        for c in &cand.preferred {
+            if c.port as usize != port {
+                continue;
+            }
+            let lane = port * vcs + c.vc as usize;
+            if !admissible(lane) {
+                continue;
+            }
+            let headroom = out_credits[lane] as usize + out_q.free(base + lane);
+            if best_lane.is_none() || headroom > best_headroom {
+                best_lane = Some(lane);
+                best_headroom = headroom;
+            }
         }
-        if self.soa.is_none() {
-            self.enter_soa();
+        return best_lane.map(|l| (l, false));
+    }
+
+    // Fallback (escape) class, in the order the algorithm listed.
+    for c in &cand.fallback {
+        let lane = c.port as usize * vcs + c.vc as usize;
+        if admissible(lane) {
+            return Some((lane, true));
         }
-        let mut b = self.soa.take().expect("banks mounted above");
+    }
+    None
+}
+
+impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> {
+    /// Execute one clock cycle: the four phases, each driven by its
+    /// worklist and a chunked mask scan, so idle routers and nodes cost
+    /// nothing. Replays a mounted event wheel away first (this stepper
+    /// ticks every injection process itself).
+    pub fn step(&mut self) {
+        self.leave_wheel();
+        let mut b = std::mem::take(&mut self.banks);
         self.soa_step_inner(&mut b);
-        self.soa = Some(b);
+        self.banks = b;
     }
 
-    /// Advance by `cycles` clocks with [`Engine::step_soa`].
-    pub fn run_soa(&mut self, cycles: u32) {
+    /// Advance the simulation by `cycles` clocks with [`Engine::step`].
+    pub fn run(&mut self, cycles: u32) {
         for _ in 0..cycles {
-            self.step_soa();
+            self.step();
         }
     }
 
-    /// [`Engine::run_soa`] with the watchdog reporting a [`Stall`]
-    /// instead of panicking, mirroring [`Engine::run_checked`].
-    pub fn run_checked_soa(&mut self, cycles: u32) -> Result<(), Stall> {
+    /// Advance by `cycles` clocks with the watchdog reporting instead
+    /// of panicking: a run that stops making progress (flits in flight,
+    /// nothing moving for the watchdog horizon) returns the [`Stall`]
+    /// as a structured error rather than aborting the process.
+    pub fn run_checked(&mut self, cycles: u32) -> Result<(), Stall> {
         self.report_stall = true;
         for _ in 0..cycles {
-            self.step_soa();
+            self.step();
             if let Some(s) = self.stall {
                 return Err(s);
             }
@@ -333,8 +300,47 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         Ok(())
     }
 
-    /// One cycle over mounted banks: the same four phases as
-    /// [`Engine::step`], each driven by a chunked mask scan.
+    /// Execute one clock cycle with the naive scan-everything stepper:
+    /// every router and node is visited in every phase and every port
+    /// and lane is inspected through its queues directly (the handlers
+    /// run with `MASKED = false`, compiling out every mask-based
+    /// early-out). The mutation bodies are those of [`Engine::step`] —
+    /// masks and worklists are still maintained — so the two steppers
+    /// are bit-identical and may be interleaved. Kept as the
+    /// equivalence oracle and the benchmark baseline.
+    #[cfg(any(test, feature = "reference-engine"))]
+    pub fn step_reference(&mut self) {
+        self.leave_wheel();
+        let mut b = std::mem::take(&mut self.banks);
+        self.reference_step_inner(&mut b);
+        self.banks = b;
+    }
+
+    /// Advance the simulation by `cycles` clocks using
+    /// [`Engine::step_reference`].
+    #[cfg(any(test, feature = "reference-engine"))]
+    pub fn run_reference(&mut self, cycles: u32) {
+        for _ in 0..cycles {
+            self.step_reference();
+        }
+    }
+
+    /// [`Engine::run_reference`] with the watchdog reporting a
+    /// [`Stall`] instead of panicking, mirroring
+    /// [`Engine::run_checked`].
+    #[cfg(any(test, feature = "reference-engine"))]
+    pub fn run_checked_reference(&mut self, cycles: u32) -> Result<(), Stall> {
+        self.report_stall = true;
+        for _ in 0..cycles {
+            self.step_reference();
+            if let Some(s) = self.stall {
+                return Err(s);
+            }
+        }
+        Ok(())
+    }
+
+    /// One default-stepper cycle over the banks.
     pub(super) fn soa_step_inner(&mut self, b: &mut SoaBanks) {
         self.moves_this_cycle = 0;
         if F::ACTIVE {
@@ -349,13 +355,67 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         self.end_cycle();
     }
 
-    /// Phase 1 (router half): link arbitration, driven by the same
-    /// `link_work` bitmap as [`Engine::step`] — a set summary bit
-    /// selects each word of busy routers (64 fully idle routers cost
-    /// nothing at all: the sparse-drain fast path), a wide scan over
-    /// the word's 64 `out_occ` condition words batch-retires members
-    /// whose buffered output already drained, and only the survivors
-    /// get the per-router lane scan on the banks.
+    /// One reference cycle: every phase visits every router and node
+    /// with the unmasked handlers, retiring drained worklist members
+    /// exactly as the masked phases do.
+    #[cfg(any(test, feature = "reference-engine"))]
+    fn reference_step_inner(&mut self, b: &mut SoaBanks) {
+        self.moves_this_cycle = 0;
+        if F::ACTIVE {
+            self.begin_fault_cycle();
+        }
+
+        // Phase 1: link.
+        for r in 0..self.w.num_routers {
+            self.soa_link_router::<false>(b, r);
+            if b.out_occ[r] == 0 {
+                self.link_work.remove(r);
+            }
+        }
+        for n in 0..self.w.num_nodes {
+            self.soa_link_node::<false>(b, n);
+            if b.node_lane_occ[n] == 0 {
+                self.inject_work.remove(n);
+            }
+        }
+        self.spawn_replies();
+
+        // Phase 2: crossbar.
+        let lanes = self.lanes_per_router;
+        for r in 0..self.w.num_routers {
+            for ll in 0..lanes {
+                if b.in_route[r * lanes + ll] != NO_ROUTE {
+                    self.soa_xbar_lane(b, r, ll);
+                }
+            }
+            if b.in_occ[r] & b.routed[r] == 0 {
+                self.xbar_work.remove(r);
+            }
+        }
+
+        // Phase 3: routing.
+        for r in 0..self.w.num_routers {
+            if b.pending[r] == 0 {
+                continue;
+            }
+            self.soa_route_router::<false>(b, r);
+            if b.pending[r] == 0 {
+                self.route_work.remove(r);
+            }
+        }
+
+        // Phase 4: injection.
+        self.soa_phase_injection(b);
+        self.end_cycle();
+    }
+
+    /// Phase 1 (router half): link arbitration, driven by the
+    /// `link_work` bitmap — a set summary bit selects each word of busy
+    /// routers (64 fully idle routers cost nothing at all: the
+    /// sparse-drain fast path), a wide scan over the word's 64 `out_occ`
+    /// condition words batch-retires members whose buffered output
+    /// already drained, and only the survivors get the per-router lane
+    /// scan.
     ///
     /// The batch retire is bit-identical to the one-by-one form: a
     /// member whose condition word is zero would be visited as a
@@ -364,7 +424,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// snapshot can only go stale for the member being visited.
     pub(super) fn soa_phase_link(&mut self, b: &mut SoaBanks) {
         self.link_work.sync_summary();
-        let scalar = self.scalar_scan;
         for si in 0..self.link_work.num_summary_words() {
             let mut sbits = self.link_work.summary_word(si);
             while sbits != 0 {
@@ -375,18 +434,13 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                     continue;
                 }
                 let base = wi << 6;
-                let cond = &b.out_occ[base..(base + 64).min(self.w.num_routers)];
-                let live = if scalar {
-                    super::simd::nonzero_mask_scalar(cond)
-                } else {
-                    super::simd::nonzero_mask(cond)
-                };
+                let live = nonzero_mask(&b.out_occ[base..(base + 64).min(self.w.num_routers)]);
                 self.link_work.remove_word_bits(wi, ww & !live);
                 let mut bits = ww & live;
                 while bits != 0 {
                     let r = base + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.soa_link_router(b, r);
+                    self.soa_link_router::<true>(b, r);
                     if b.out_occ[r] == 0 {
                         self.link_work.remove(r);
                     }
@@ -401,7 +455,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// [`Engine::soa_phase_link`] (condition word: `node_lane_occ`).
     pub(super) fn soa_phase_node_link(&mut self, b: &mut SoaBanks) {
         self.inject_work.sync_summary();
-        let scalar = self.scalar_scan;
         for si in 0..self.inject_work.num_summary_words() {
             let mut sbits = self.inject_work.summary_word(si);
             while sbits != 0 {
@@ -412,18 +465,13 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                     continue;
                 }
                 let base = wi << 6;
-                let cond = &b.node_lane_occ[base..(base + 64).min(self.w.num_nodes)];
-                let live = if scalar {
-                    super::simd::nonzero_mask_scalar(cond)
-                } else {
-                    super::simd::nonzero_mask(cond)
-                };
+                let live = nonzero_mask(&b.node_lane_occ[base..(base + 64).min(self.w.num_nodes)]);
                 self.inject_work.remove_word_bits(wi, ww & !live);
                 let mut bits = ww & live;
                 while bits != 0 {
                     let n = base + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.soa_link_node(b, n);
+                    self.soa_link_node::<true>(b, n);
                     if b.node_lane_occ[n] == 0 {
                         self.inject_work.remove(n);
                     }
@@ -433,13 +481,11 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     }
 
     /// Phase 2: crossbar forwarding for every router on the `xbar_work`
-    /// bitmap with a routed, occupied input lane. The wide scan ANDs
-    /// `in_occ` and `routed` lanewise ([`super::simd::and_nonzero_mask`])
-    /// — the phase condition needs a lane that is both occupied *and*
-    /// owns a crossbar path.
+    /// bitmap with a routed, occupied input lane (the wide scan ANDs
+    /// `in_occ` and `routed` lanewise: the phase needs a lane that is
+    /// both occupied *and* owns a crossbar path).
     pub(super) fn soa_phase_xbar(&mut self, b: &mut SoaBanks) {
         self.xbar_work.sync_summary();
-        let scalar = self.scalar_scan;
         for si in 0..self.xbar_work.num_summary_words() {
             let mut sbits = self.xbar_work.summary_word(si);
             while sbits != 0 {
@@ -451,11 +497,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 }
                 let base = wi << 6;
                 let lim = (base + 64).min(self.w.num_routers);
-                let live = if scalar {
-                    super::simd::and_nonzero_mask_scalar(&b.in_occ[base..lim], &b.routed[base..lim])
-                } else {
-                    super::simd::and_nonzero_mask(&b.in_occ[base..lim], &b.routed[base..lim])
-                };
+                let live = and_nonzero_mask(&b.in_occ[base..lim], &b.routed[base..lim]);
                 self.xbar_work.remove_word_bits(wi, ww & !live);
                 let mut bits = ww & live;
                 while bits != 0 {
@@ -484,7 +526,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// `pending`).
     pub(super) fn soa_phase_route(&mut self, b: &mut SoaBanks) {
         self.route_work.sync_summary();
-        let scalar = self.scalar_scan;
         for si in 0..self.route_work.num_summary_words() {
             let mut sbits = self.route_work.summary_word(si);
             while sbits != 0 {
@@ -495,18 +536,13 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                     continue;
                 }
                 let base = wi << 6;
-                let cond = &b.pending[base..(base + 64).min(self.w.num_routers)];
-                let live = if scalar {
-                    super::simd::nonzero_mask_scalar(cond)
-                } else {
-                    super::simd::nonzero_mask(cond)
-                };
+                let live = nonzero_mask(&b.pending[base..(base + 64).min(self.w.num_routers)]);
                 self.route_work.remove_word_bits(wi, ww & !live);
                 let mut bits = ww & live;
                 while bits != 0 {
                     let r = base + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.soa_route_router(b, r);
+                    self.soa_route_router::<true>(b, r);
                     if b.pending[r] == 0 {
                         self.route_work.remove(r);
                     }
@@ -515,144 +551,156 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         }
     }
 
-    /// Link phase, one router (translation of the `MASKED = true` body
-    /// of `link_router`): move at most one flit per physical channel
-    /// direction, walking only the occupied directions of `out_occ`.
-    fn soa_link_router(&mut self, b: &mut SoaBanks, r: usize) {
+    /// Link phase, one router: move at most one flit per physical
+    /// channel direction. `MASKED` walks only the occupied directions
+    /// of `out_occ` (ascending lane order is ascending port order, and
+    /// handlers only ever clear bits of the port being served, so the
+    /// local copy stays exact for the ports not yet visited); unmasked,
+    /// every port is visited.
+    fn soa_link_router<const MASKED: bool>(&mut self, b: &mut SoaBanks, r: usize) {
+        if MASKED {
+            let vcs = self.vcs;
+            let port_lanes = (1u64 << vcs) - 1;
+            let mut occ = b.out_occ[r];
+            while occ != 0 {
+                let p = b.lane_port[occ.trailing_zeros() as usize] as usize;
+                occ &= !(port_lanes << (p * vcs));
+                self.soa_link_port::<true>(b, r, p);
+            }
+        } else {
+            for p in 0..self.w.ports {
+                self.soa_link_port::<false>(b, r, p);
+            }
+        }
+    }
+
+    /// Link phase, one physical channel direction `r`:`p`: a fair
+    /// round-robin arbiter picks one output lane with a ready flit (and,
+    /// towards a router, a credit) and moves the flit across.
+    #[inline(always)]
+    fn soa_link_port<const MASKED: bool>(&mut self, b: &mut SoaBanks, r: usize, p: usize) {
+        if F::ACTIVE && self.faults.channel_down(r, p) {
+            return; // channel down: nothing crosses this cycle
+        }
         let cycle = self.cycle;
         let vcs = self.vcs;
         let ports = self.w.ports;
         let base = r * self.lanes_per_router;
-        let port_lanes = (1u64 << vcs) - 1;
-        // Walk the occupied directions straight off the occupancy word
-        // (ascending lane order is ascending port order, so the visit
-        // order matches the plain `0..ports` loop); handlers only ever
-        // clear bits of the port being served, so the local copy stays
-        // exact for the ports not yet visited.
-        let mut occ = b.out_occ[r];
-        while occ != 0 {
-            let p = b.lane_port[occ.trailing_zeros() as usize] as usize;
-            occ &= !(port_lanes << (p * vcs));
-            if F::ACTIVE && self.faults.channel_down(r, p) {
-                continue; // channel down: nothing crosses this cycle
+        match self.w.peer(r, p) {
+            Peer::None => {
+                // Reachable only in the unmasked full scan: flits are
+                // never routed towards an uncabled port.
+                debug_assert!(!MASKED, "flit buffered on an uncabled port");
             }
-            match self.w.peer(r, p) {
-                Peer::None => {
-                    // A flit is never routed towards an uncabled port,
-                    // so an occupied lane on one cannot exist.
-                    unreachable!("flit buffered on an uncabled port")
-                }
-                Peer::Node(node) => {
-                    // Ejection: the node always sinks (no credits).
-                    let mut v = b.link_rr[r * ports + p] as usize;
-                    for _ in 0..vcs {
-                        // Round-robin without `%`: `v` wraps manually.
-                        let next = if v + 1 == vcs { 0 } else { v + 1 };
-                        let ll = p * vcs + v;
-                        if b.out_occ[r] & (1u64 << ll) == 0 {
-                            v = next;
-                            continue;
-                        }
-                        let l = base + ll;
-                        let ready = matches!(b.out_q.front(l),
-                            Some(f) if f.moved < cycle);
-                        if ready {
-                            let f = b.out_q.pop(l);
-                            if b.out_q.is_empty(l) {
-                                b.out_occ[r] &= !(1u64 << ll);
-                            }
-                            b.link_rr[r * ports + p] = next as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            self.counters.delivered_flits += 1;
-                            self.counters.in_flight_flits -= 1;
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Ejection,
-                            );
-                            if f.is_tail() {
-                                let rec = &mut self.packets[f.packet as usize];
-                                debug_assert_eq!(rec.delivered, NEVER);
-                                rec.delivered = cycle;
-                                let reply = self.request_reply && !rec.is_reply();
-                                self.counters.delivered_packets += 1;
-                                if reply {
-                                    self.reply_buf.push(f.packet);
-                                }
-                                self.probe.packet_delivered(cycle, f.packet, node);
-                            }
-                            break;
-                        }
+            Peer::Node(node) => {
+                // Ejection: the node always sinks (no credits).
+                let mut v = b.link_rr[r * ports + p] as usize;
+                for _ in 0..vcs {
+                    // Round-robin without `%`: `v` wraps manually.
+                    let next = if v + 1 == vcs { 0 } else { v + 1 };
+                    let ll = p * vcs + v;
+                    if MASKED && b.out_occ[r] & (1u64 << ll) == 0 {
                         v = next;
+                        continue;
                     }
+                    let l = base + ll;
+                    let ready = matches!(b.out_q.front(l), Some(f) if f.moved < cycle);
+                    if ready {
+                        let f = b.out_q.pop(l);
+                        if b.out_q.is_empty(l) {
+                            b.out_occ[r] &= !(1u64 << ll);
+                        }
+                        b.link_rr[r * ports + p] = next as u8;
+                        self.link_flits[r * ports + p] += 1;
+                        self.counters.delivered_flits += 1;
+                        self.counters.in_flight_flits -= 1;
+                        self.moves_this_cycle += 1;
+                        self.probe.link_flit(
+                            cycle,
+                            f.packet,
+                            r as u32,
+                            p as u16,
+                            v as u8,
+                            LinkKind::Ejection,
+                        );
+                        if f.is_tail() {
+                            let rec = &mut self.packets[f.packet as usize];
+                            debug_assert_eq!(rec.delivered, NEVER);
+                            rec.delivered = cycle;
+                            let reply = self.request_reply && !rec.is_reply();
+                            self.counters.delivered_packets += 1;
+                            if reply {
+                                self.reply_buf.push(f.packet);
+                            }
+                            self.probe.packet_delivered(cycle, f.packet, node);
+                        }
+                        break;
+                    }
+                    v = next;
                 }
-                Peer::Router {
-                    router: r2,
-                    port: p2,
-                } => {
-                    let (r2, p2) = (r2 as usize, p2 as usize);
-                    debug_assert_ne!(r, r2);
-                    let base2 = r2 * self.lanes_per_router;
-                    let mut v = b.link_rr[r * ports + p] as usize;
-                    for _ in 0..vcs {
-                        let next = if v + 1 == vcs { 0 } else { v + 1 };
-                        let ll = p * vcs + v;
-                        if b.out_occ[r] & (1u64 << ll) == 0 {
-                            v = next;
-                            continue;
-                        }
-                        let l = base + ll;
-                        let ready = b.out_credits[l] > 0
-                            && matches!(b.out_q.front(l), Some(f) if f.moved < cycle);
-                        if ready {
-                            let mut f = b.out_q.pop(l);
-                            if b.out_q.is_empty(l) {
-                                b.out_occ[r] &= !(1u64 << ll);
-                            }
-                            b.out_credits[l] -= 1;
-                            b.link_rr[r * ports + p] = next as u8;
-                            self.link_flits[r * ports + p] += 1;
-                            f.moved = cycle;
-                            let dll = p2 * vcs + v;
-                            let dl = base2 + dll;
-                            let was_empty = b.in_q.is_empty(dl);
-                            b.in_q.push(dl, f);
-                            b.in_occ[r2] |= 1u64 << dll;
-                            if was_empty && f.is_head() {
-                                debug_assert_eq!(b.in_route[dl], NO_ROUTE);
-                                b.pending[r2] |= 1 << dll;
-                                self.route_work.insert(r2);
-                            }
-                            if b.routed[r2] & (1u64 << dll) != 0 {
-                                // Body/tail arriving on a lane whose
-                                // head already holds a crossbar path.
-                                self.xbar_work.insert(r2);
-                            }
-                            self.moves_this_cycle += 1;
-                            self.probe.link_flit(
-                                cycle,
-                                f.packet,
-                                r as u32,
-                                p as u16,
-                                v as u8,
-                                LinkKind::Network,
-                            );
-                            break;
-                        }
+            }
+            Peer::Router {
+                router: r2,
+                port: p2,
+            } => {
+                let (r2, p2) = (r2 as usize, p2 as usize);
+                debug_assert_ne!(r, r2);
+                let base2 = r2 * self.lanes_per_router;
+                let mut v = b.link_rr[r * ports + p] as usize;
+                for _ in 0..vcs {
+                    let next = if v + 1 == vcs { 0 } else { v + 1 };
+                    let ll = p * vcs + v;
+                    if MASKED && b.out_occ[r] & (1u64 << ll) == 0 {
                         v = next;
+                        continue;
                     }
+                    let l = base + ll;
+                    let ready = b.out_credits[l] > 0
+                        && matches!(b.out_q.front(l), Some(f) if f.moved < cycle);
+                    if ready {
+                        let mut f = b.out_q.pop(l);
+                        if b.out_q.is_empty(l) {
+                            b.out_occ[r] &= !(1u64 << ll);
+                        }
+                        b.out_credits[l] -= 1;
+                        b.link_rr[r * ports + p] = next as u8;
+                        self.link_flits[r * ports + p] += 1;
+                        f.moved = cycle;
+                        let dll = p2 * vcs + v;
+                        let dl = base2 + dll;
+                        let was_empty = b.in_q.is_empty(dl);
+                        b.in_q.push(dl, f);
+                        b.in_occ[r2] |= 1u64 << dll;
+                        if was_empty && f.is_head() {
+                            debug_assert_eq!(b.in_route[dl], NO_ROUTE);
+                            b.pending[r2] |= 1 << dll;
+                            self.route_work.insert(r2);
+                        }
+                        if b.routed[r2] & (1u64 << dll) != 0 {
+                            // Body/tail arriving on a lane whose head
+                            // already holds a crossbar path.
+                            self.xbar_work.insert(r2);
+                        }
+                        self.moves_this_cycle += 1;
+                        self.probe.link_flit(
+                            cycle,
+                            f.packet,
+                            r as u32,
+                            p as u16,
+                            v as u8,
+                            LinkKind::Network,
+                        );
+                        break;
+                    }
+                    v = next;
                 }
             }
         }
     }
 
-    /// Link phase, one node-side injection channel (translation of the
-    /// `MASKED = true` body of `link_node`).
-    fn soa_link_node(&mut self, b: &mut SoaBanks, n: usize) {
+    /// Link phase, one node-side injection channel (node -> router).
+    /// `MASKED` as on [`Engine::soa_link_router`].
+    fn soa_link_node<const MASKED: bool>(&mut self, b: &mut SoaBanks, n: usize) {
         if F::ACTIVE && self.faults.node_dead(n) {
             return; // dead node: its injection channel carries nothing
         }
@@ -664,7 +712,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         let mut v = b.node_lane_rr[n] as usize;
         for _ in 0..vcs {
             let next = if v + 1 == vcs { 0 } else { v + 1 };
-            if b.node_lane_occ[n] & (1u64 << v) == 0 {
+            if MASKED && b.node_lane_occ[n] & (1u64 << v) == 0 {
                 v = next;
                 continue;
             }
@@ -699,11 +747,36 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         }
     }
 
-    /// One crossbar lane holding a path (translation of `xbar_lane`).
-    /// `ll` is the lane index local to router `r`.
+    /// Return the credit for one buffer freed in router `r`'s input
+    /// lane `ll` to the upstream output lane (or node-side lane).
+    #[inline]
+    fn soa_ack(&mut self, b: &mut SoaBanks, r: usize, ll: usize) {
+        let vcs = self.vcs;
+        let (p, v) = (b.lane_port[ll] as usize, b.lane_vc[ll] as usize);
+        match self.w.peer(r, p) {
+            Peer::Router {
+                router: r2,
+                port: p2,
+            } => {
+                let ul = r2 as usize * self.lanes_per_router + p2 as usize * vcs + v;
+                b.out_credits[ul] += 1;
+                debug_assert!(b.out_credits[ul] as usize <= b.out_q.capacity());
+            }
+            Peer::Node(nn) => {
+                let ni = nn as usize * vcs + v;
+                b.node_credits[ni] += 1;
+                debug_assert!(b.node_credits[ni] as usize <= b.node_lanes.capacity());
+            }
+            Peer::None => unreachable!("flit arrived through an uncabled port"),
+        }
+    }
+
+    /// Crossbar phase, one input lane `ll` of router `r` holding a
+    /// path: forward a flit if the head is movable and the output lane
+    /// has room; an acknowledgment immediately restores one credit
+    /// upstream, and a tail tears the path down.
     fn soa_xbar_lane(&mut self, b: &mut SoaBanks, r: usize, ll: usize) {
         let cycle = self.cycle;
-        let vcs = self.vcs;
         let base = r * self.lanes_per_router;
         let l = base + ll;
         if F::ACTIVE && b.in_route[l] == DROP_ROUTE {
@@ -736,31 +809,18 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 self.route_work.insert(r);
             }
         }
-        // Acknowledgment: one buffer freed in this input lane.
-        let (p, v) = (b.lane_port[ll] as usize, b.lane_vc[ll] as usize);
-        match self.w.peer(r, p) {
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let ul = r2 as usize * self.lanes_per_router + p2 as usize * vcs + v;
-                b.out_credits[ul] += 1;
-                debug_assert!(b.out_credits[ul] as usize <= b.out_q.capacity());
-            }
-            Peer::Node(nn) => {
-                let ni = nn as usize * vcs + v;
-                b.node_credits[ni] += 1;
-                debug_assert!(b.node_credits[ni] as usize <= b.node_lanes.capacity());
-            }
-            Peer::None => unreachable!("flit arrived through an uncabled port"),
-        }
+        self.soa_ack(b, r, ll);
     }
 
-    /// Crossbar-phase drain of a lane whose head-of-line packet was
-    /// dropped by the fault plane (translation of `drain_lane`).
+    /// Crossbar-phase handler for a lane whose head-of-line packet was
+    /// dropped by the fault plane (`in_route == DROP_ROUTE`): sink one
+    /// flit per cycle instead of forwarding it, returning the freed
+    /// buffer's credit upstream exactly as a real forward would. The
+    /// drain counts as movement, so a draining network never trips the
+    /// watchdog; when the tail is sunk the lane is released and the
+    /// next header (if any) re-enters the routing phase.
     fn soa_drain_lane(&mut self, b: &mut SoaBanks, r: usize, ll: usize) {
         let cycle = self.cycle;
-        let vcs = self.vcs;
         let l = r * self.lanes_per_router + ll;
         let movable = matches!(b.in_q.front(l), Some(f) if f.moved < cycle);
         if !movable {
@@ -781,50 +841,45 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 self.route_work.insert(r);
             }
         }
-        // Acknowledgment upstream: the buffer slot is free again.
-        let (p, v) = (b.lane_port[ll] as usize, b.lane_vc[ll] as usize);
-        match self.w.peer(r, p) {
-            Peer::Router {
-                router: r2,
-                port: p2,
-            } => {
-                let ul = r2 as usize * self.lanes_per_router + p2 as usize * vcs + v;
-                b.out_credits[ul] += 1;
-                debug_assert!(b.out_credits[ul] as usize <= b.out_q.capacity());
-            }
-            Peer::Node(nn) => {
-                let ni = nn as usize * vcs + v;
-                b.node_credits[ni] += 1;
-                debug_assert!(b.node_credits[ni] as usize <= b.node_lanes.capacity());
-            }
-            Peer::None => unreachable!("flit arrived through an uncabled port"),
-        }
+        self.soa_ack(b, r, ll);
     }
 
-    /// Routing phase, one router (translation of the `MASKED = true`
-    /// body of `route_router`): walk the set bits of `pending` in
-    /// round-robin order until one decision is made.
-    fn soa_route_router(&mut self, b: &mut SoaBanks, r: usize) {
+    /// Routing phase, one router: route at most one header. `MASKED`
+    /// walks the set bits of `pending` in round-robin order (bits at
+    /// and above the cursor, then the wrap-around); unmasked, every
+    /// lane index is rotated through — both visit the same lanes in the
+    /// same order.
+    fn soa_route_router<const MASKED: bool>(&mut self, b: &mut SoaBanks, r: usize) {
+        let lanes = self.lanes_per_router;
         let pending = b.pending[r];
         debug_assert_ne!(pending, 0, "router scanned without pending header");
         let start = b.route_rr[r] as usize;
-        debug_assert!(start < self.lanes_per_router);
-        let below_start = (1u64 << start) - 1;
-        'scan: for part in [pending & !below_start, pending & below_start] {
-            let mut bits = part;
-            while bits != 0 {
-                let ll = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.soa_route_lane(b, r, ll) {
-                    break 'scan;
+        debug_assert!(start < lanes);
+        if MASKED {
+            let below_start = (1u64 << start) - 1;
+            'scan: for part in [pending & !below_start, pending & below_start] {
+                let mut bits = part;
+                while bits != 0 {
+                    let ll = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.soa_route_lane(b, r, ll) {
+                        break 'scan;
+                    }
+                }
+            }
+        } else {
+            for i in 0..lanes {
+                let ll = (start + i) % lanes;
+                if pending & (1u64 << ll) != 0 && self.soa_route_lane(b, r, ll) {
+                    break;
                 }
             }
         }
     }
 
-    /// One pending lane (translation of `route_lane`): attempt the
-    /// routing decision; returns whether the router's one routing
-    /// opportunity this cycle was spent.
+    /// One pending lane: attempt the routing decision. Returns whether
+    /// a decision (successful or blocked) was made — the router's one
+    /// routing opportunity this cycle is then spent.
     fn soa_route_lane(&mut self, b: &mut SoaBanks, r: usize, ll: usize) -> bool {
         let cycle = self.cycle;
         let lanes = self.lanes_per_router;
@@ -844,9 +899,16 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         self.algo
             .route(RouterId(r as u32), Some(in_port), NodeId(dest), &mut cand);
         debug_assert!(!cand.is_empty(), "routing function returned no candidate");
-        if F::ACTIVE && self.fault_unroutable(r, &cand) {
+        if F::ACTIVE && fault_unroutable(&self.faults, r, &cand) {
+            // Degraded-mode dead end: drop the packet and hand the lane
+            // to the crossbar phase for draining.
             self.cand = cand;
-            self.soa_start_drop(b, r, ll, front.packet);
+            b.in_route[l] = DROP_ROUTE;
+            b.routed[r] |= 1u64 << ll;
+            b.pending[r] &= !(1 << ll);
+            self.xbar_work.insert(r);
+            self.counters.dropped_packets += 1;
+            self.probe.packet_dropped(cycle, front.packet, r as u32);
             b.route_rr[r] = ((ll + 1) % lanes) as u32;
             return true;
         }
@@ -858,7 +920,17 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 .iter()
                 .chain(cand.fallback.iter())
                 .any(|c| self.faults.channel_down(r, c.port as usize));
-        let choice = self.soa_select_output(b, r, &cand);
+        let choice = select_output(
+            &mut self.rng,
+            &self.faults,
+            r,
+            self.vcs,
+            b.out_bound[r],
+            &b.out_q,
+            &b.out_credits[r * lanes..(r + 1) * lanes],
+            r * lanes,
+            &cand,
+        );
         self.cand = cand;
         match choice {
             Some((ol, used_fallback)) => {
@@ -900,106 +972,9 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         true
     }
 
-    /// Declare the head-of-line packet of a lane dropped (translation
-    /// of `start_drop`).
-    fn soa_start_drop(&mut self, b: &mut SoaBanks, r: usize, ll: usize, packet: u32) {
-        let l = r * self.lanes_per_router + ll;
-        b.in_route[l] = DROP_ROUTE;
-        b.routed[r] |= 1u64 << ll;
-        b.pending[r] &= !(1 << ll);
-        self.xbar_work.insert(r);
-        self.counters.dropped_packets += 1;
-        self.probe.packet_dropped(self.cycle, packet, r as u32);
-    }
-
-    /// The selection policy over banked lanes (translation of
-    /// `select_output`): identical scoring, tie-breaking (and shared-RNG
-    /// consumption) as the AoS version.
-    fn soa_select_output(
-        &mut self,
-        b: &SoaBanks,
-        r: usize,
-        cand: &CandidateSet,
-    ) -> Option<(usize, bool)> {
-        let vcs = self.vcs;
-        let base = r * self.lanes_per_router;
-        let out_bound = b.out_bound[r];
-        let faults = &self.faults;
-        let out_q = &b.out_q;
-        let admissible = |lane: usize| {
-            out_bound & (1u64 << lane) == 0
-                && !out_q.is_full(base + lane)
-                && !(F::ACTIVE && faults.channel_down(r, lane / vcs))
-        };
-
-        // Pass 1: best port among preferred candidates.
-        let mut best_port: Option<usize> = None;
-        let mut best_score = 0usize;
-        let mut ties = 0u64;
-        let mut last_port = usize::MAX;
-        for c in &cand.preferred {
-            let port = c.port as usize;
-            if port == last_port {
-                continue; // candidates are grouped by port
-            }
-            last_port = port;
-            let has_admissible = (0..vcs).any(|v| {
-                cand.preferred
-                    .iter()
-                    .any(|cc| cc.port as usize == port && cc.vc as usize == v)
-                    && admissible(port * vcs + v)
-            });
-            if !has_admissible {
-                continue;
-            }
-            let port_mask = ((1u64 << vcs) - 1) << (port * vcs);
-            let free_vcs = vcs - (out_bound & port_mask).count_ones() as usize;
-            if best_port.is_none() || free_vcs > best_score {
-                best_port = Some(port);
-                best_score = free_vcs;
-                ties = 1;
-            } else if free_vcs == best_score {
-                // Reservoir sampling for a fair tie-break.
-                ties += 1;
-                if self.rng.below(ties) == 0 {
-                    best_port = Some(port);
-                }
-            }
-        }
-
-        if let Some(port) = best_port {
-            // Pass 2: best lane on the chosen port.
-            let mut best_lane = None;
-            let mut best_headroom = 0usize;
-            for c in &cand.preferred {
-                if c.port as usize != port {
-                    continue;
-                }
-                let lane = port * vcs + c.vc as usize;
-                if !admissible(lane) {
-                    continue;
-                }
-                let headroom = b.out_credits[base + lane] as usize + b.out_q.free(base + lane);
-                if best_lane.is_none() || headroom > best_headroom {
-                    best_lane = Some(lane);
-                    best_headroom = headroom;
-                }
-            }
-            return best_lane.map(|l| (l, false));
-        }
-
-        // Fallback (escape) class, in the order the algorithm listed.
-        for c in &cand.fallback {
-            let lane = c.port as usize * vcs + c.vc as usize;
-            if admissible(lane) {
-                return Some((lane, true));
-            }
-        }
-        None
-    }
-
-    /// Phase 4 (translation of `phase_injection`): tick every node's
-    /// creation process, then run the shared per-node injection body.
+    /// Phase 4: tick every node's creation process (inherently
+    /// O(nodes): every process ticks its RNG every cycle), then run the
+    /// shared per-node injection body.
     fn soa_phase_injection(&mut self, b: &mut SoaBanks) {
         for n in 0..self.w.num_nodes {
             let ns = &mut self.nodes[n];
@@ -1014,12 +989,39 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         }
     }
 
-    /// The per-node injection body shared by the SoA and wheel
-    /// steppers: packet creation (when the caller's tick produced
-    /// `created`), the fault-plane source purge, throttled packet
-    /// start, and streaming one flit of the active packet. Mirrors the
-    /// non-tick part of `phase_injection` exactly.
+    /// The per-node injection body over the banks (shared by the
+    /// default, reference and wheel steppers).
+    #[inline]
     pub(super) fn soa_inject_node(&mut self, b: &mut SoaBanks, n: usize, created: Option<u32>) {
+        let r = self.w.node_ports[n].0 as usize;
+        let lanes = NodeLanesMut {
+            lanes: &mut b.node_lanes,
+            base: n * self.vcs,
+            credits: &b.node_credits[n * self.vcs..(n + 1) * self.vcs],
+            occ: &mut b.node_lane_occ[n],
+            rr: b.node_lane_rr[n],
+        };
+        let (out_bound, network) = (&b.out_bound, &b.network_lanes);
+        self.inject_node(n, created, lanes, || {
+            (out_bound[r] & network[r]).count_ones()
+        });
+    }
+
+    /// The per-node injection body shared by every stepper: packet
+    /// creation (when the caller's tick drew `created` as a
+    /// destination), the fault-plane source purge, throttled packet
+    /// start, and streaming one flit of the active packet into the
+    /// node-side lanes `lanes`. `busy_network_lanes` counts the
+    /// allocated network output lanes of the node's router (the
+    /// limited-injection throttle; only evaluated when a limit is set).
+    #[inline(always)]
+    pub(super) fn inject_node(
+        &mut self,
+        n: usize,
+        created: Option<u32>,
+        lanes: NodeLanesMut<'_>,
+        busy_network_lanes: impl FnOnce() -> u32,
+    ) {
         let cycle = self.cycle;
         let flits = self.flits_per_packet;
         let ns = &mut self.nodes[n];
@@ -1040,8 +1042,11 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             self.probe.packet_created(cycle, id, n as u32, dest, flits);
         }
 
-        // Fault plane: abandon doomed packets at the source (see
-        // `phase_injection`).
+        // Fault plane: a packet whose source or destination node is
+        // dead can never be delivered — abandon it at the source
+        // (counted unroutable, never injected). Dead endpoints are
+        // known at cycle 0, so the source queue never wedges behind a
+        // doomed head.
         if F::ACTIVE {
             while let Some(&pkt) = ns.src_queue.front() {
                 let dest = self.packets[pkt as usize].dest as usize;
@@ -1054,29 +1059,25 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             }
         }
 
-        // Start the next packet (single injection channel; limited
-        // injection may hold it back).
+        // Start the next packet (single injection channel: one packet
+        // streams at a time; limited injection may hold it back while
+        // the local router is congested).
         let vcs = self.vcs;
-        let nb = n * vcs;
+        let nb = lanes.base;
         if ns.active.is_none() {
             let throttled = match self.injection_limit {
                 None => false,
-                Some(limit) => {
-                    let (r, _) = self.w.node_ports[n];
-                    let r = r as usize;
-                    (b.out_bound[r] & b.network_lanes[r]).count_ones() >= limit
-                }
+                Some(limit) => busy_network_lanes() >= limit,
             };
             if !throttled {
                 if let Some(&pkt) = ns.src_queue.front() {
                     // Choose the lane with the most headroom; rotate on
                     // ties for fairness.
-                    let mut v = b.node_lane_rr[n] as usize;
+                    let mut v = lanes.rr as usize;
                     let mut best: Option<(usize, usize)> = None;
                     for _ in 0..vcs {
-                        if !b.node_lanes.is_full(nb + v) {
-                            let headroom =
-                                b.node_lanes.free(nb + v) + b.node_credits[nb + v] as usize;
+                        if !lanes.lanes.is_full(nb + v) {
+                            let headroom = lanes.lanes.free(nb + v) + lanes.credits[v] as usize;
                             if best.is_none_or(|(_, h)| headroom > h) {
                                 best = Some((v, headroom));
                             }
@@ -1098,7 +1099,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         // Stream one flit of the active packet.
         if let Some((pkt, remaining)) = ns.active {
             let lane = ns.active_lane as usize;
-            if !b.node_lanes.is_full(nb + lane) {
+            if !lanes.lanes.is_full(nb + lane) {
                 let mut flags = 0u8;
                 if remaining == flits {
                     flags |= HEAD;
@@ -1108,7 +1109,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 if remaining == 1 {
                     flags |= TAIL;
                 }
-                b.node_lanes.push(
+                lanes.lanes.push(
                     nb + lane,
                     Flit {
                         packet: pkt,
@@ -1116,7 +1117,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                         flags,
                     },
                 );
-                b.node_lane_occ[n] |= 1u64 << lane;
+                *lanes.occ |= 1u64 << lane;
                 self.inject_work.insert(n);
                 self.counters.in_flight_flits += 1;
                 self.moves_this_cycle += 1;
@@ -1132,84 +1133,46 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
 
 #[cfg(test)]
 mod tests {
-    use routing::{CubeDuato, RoutingAlgorithm, TreeAdaptive};
-    use topology::{KAryNCube, KAryNTree};
+    use routing::{CubeDuato, RoutingAlgorithm};
+    use topology::KAryNCube;
     use traffic::{Bernoulli, InjectionProcess, Pattern, TrafficGen};
 
     use super::super::Engine;
-
-    fn engine_pair<Algo: RoutingAlgorithm>(
-        algo: &Algo,
-        rate: f64,
-        seed: u64,
-    ) -> (Engine<'_, Algo>, Engine<'_, Algo>) {
-        let n = algo.topology().num_nodes();
-        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(rate)) };
-        let a = Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, seed);
-        let b = Engine::new(algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, seed);
-        (a, b)
-    }
+    use super::{and_nonzero_mask, nonzero_mask};
 
     #[test]
-    fn soa_step_matches_active_step_exactly() {
-        let cube = CubeDuato::new(KAryNCube::new(4, 2));
-        let tree = TreeAdaptive::new(KAryNTree::new(2, 3), 2);
-        fn check<Algo: RoutingAlgorithm>(algo: &Algo, rate: f64) {
-            let (mut active, mut soa) = engine_pair(algo, rate, 77);
-            for cycle in 0..1500 {
-                active.step();
-                soa.step_soa();
-                if cycle % 128 == 0 {
-                    assert_eq!(active.counters(), soa.counters(), "cycle {cycle}");
-                    assert_eq!(active.packets(), soa.packets(), "cycle {cycle}");
-                }
-            }
-            assert_eq!(active.counters(), soa.counters());
-            assert_eq!(active.packets(), soa.packets());
-            assert_eq!(active.state_hash(), soa.state_hash());
+    fn mask_scans_flag_exactly_the_live_words() {
+        let vals: Vec<u64> = (0..64)
+            .map(|j| if j % 3 == 0 { 1 << j } else { 0 })
+            .collect();
+        let m = nonzero_mask(&vals);
+        for j in 0..64 {
+            assert_eq!(m >> j & 1 == 1, j % 3 == 0, "word {j}");
         }
-        check(&cube, 0.01);
-        check(&cube, 0.08); // saturating
-        check(&tree, 0.02);
+        assert_eq!(nonzero_mask(&vals[..5]), 0b1001);
+        let a = [1u64, 2, 4, 8, 16];
+        let b = [1u64, 1, 4, 0, 16];
+        assert_eq!(and_nonzero_mask(&a, &b), 0b10101);
+        assert_eq!(nonzero_mask(&[]), 0);
     }
 
     #[test]
-    fn soa_interleaves_with_active_and_reference() {
-        // Mode transitions (enter/write-back) at arbitrary cycle
-        // boundaries must be invisible.
+    fn step_honours_throttle_and_request_reply() {
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
-        let (mut pure, mut mixed) = engine_pair(&algo, 0.03, 5);
-        for cycle in 0..1200 {
-            pure.step();
-            match cycle % 5 {
-                0 | 3 => mixed.step_soa(),
-                1 => mixed.step(),
-                2 => mixed.step_reference(),
-                _ => mixed.step_soa(),
-            }
-            if cycle % 97 == 0 {
-                assert_eq!(mixed.check_worklist_invariant(), Ok(()), "cycle {cycle}");
-                assert_eq!(mixed.check_credit_invariant(), Ok(()), "cycle {cycle}");
-            }
-        }
-        assert_eq!(pure.counters(), mixed.counters());
-        assert_eq!(pure.packets(), mixed.packets());
-        assert_eq!(pure.state_hash(), mixed.state_hash());
-    }
-
-    #[test]
-    fn soa_honours_throttle_and_request_reply() {
-        let algo = CubeDuato::new(KAryNCube::new(4, 2));
-        let (mut active, mut soa) = engine_pair(&algo, 0.04, 21);
-        for eng in [&mut active, &mut soa] {
+        let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.04)) };
+        let build = || {
+            let n = algo.topology().num_nodes();
+            let mut eng = Engine::new(&algo, 4, 8, TrafficGen::new(Pattern::Uniform, n), &mk, 21);
             eng.set_request_reply(true);
             eng.set_injection_limit(Some(4));
-        }
-        active.run(1000);
-        soa.run_soa(1000);
-        assert!(active.counters().delivered_packets > 0);
-        assert_eq!(active.counters(), soa.counters());
-        assert_eq!(active.packets(), soa.packets());
-        assert_eq!(active.state_hash(), soa.state_hash());
+            eng
+        };
+        let (mut refr, mut soa) = (build(), build());
+        refr.run_reference(1000);
+        soa.run(1000);
+        assert!(refr.counters().delivered_packets > 0);
+        assert_eq!(refr.counters(), soa.counters());
+        assert_eq!(refr.packets(), soa.packets());
+        assert_eq!(refr.state_hash(), soa.state_hash());
     }
 }

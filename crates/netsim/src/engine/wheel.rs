@@ -1,7 +1,7 @@
 //! Event-wheel (calendar-queue) execution mode.
 //!
-//! The injection phase is the one phase whose cost the active-set and
-//! SoA steppers cannot compress: every node's creation process must
+//! The injection phase is the one phase whose cost the default stepper
+//! cannot compress: every node's creation process must
 //! tick its RNG every cycle, even on a completely idle network. This
 //! mode removes that floor. Each node's *next firing cycle* is computed
 //! in advance ([`traffic::InjectionProcess::next_fire`] batches the
@@ -36,7 +36,6 @@
 //! probe), and cycles with in-flight flits or backlog are always
 //! stepped in full.
 
-use super::shard::ShardPlan;
 use super::soa::SoaBanks;
 use super::{Engine, Stall};
 use crate::active::ActiveSet;
@@ -78,7 +77,7 @@ struct NodeSync {
 /// The calendar is *partitioned*: part `k` holds the events of the
 /// nodes in `starts[k]..starts[k+1]`. Serial wheel mode mounts a
 /// single part covering every node; the wheel-sharded stepper
-/// ([`Engine::step_wheel_sharded`]) partitions along the shard plan's
+/// ([`Engine::run_wheel_sharded`]) partitions along the shard plan's
 /// node ranges, so each shard's future firings live in their own slot
 /// vectors and the global idle skip is "every part's current slot is
 /// empty" — the minimum next-fire across shards decides how far the
@@ -129,10 +128,10 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// Mount a wheel over the nodes' current stream state, with the
     /// calendar partitioned at `starts` (serial callers pass the
     /// trivial `[0, num_nodes]` partition; the wheel-sharded stepper
-    /// passes the shard plan's node ranges). Works over either lane
-    /// layout: the wheel only touches per-node stream state (`rng`,
-    /// `proc`, source queues), which the SoA banks never carry.
-    fn enter_wheel(&mut self, starts: &[usize]) {
+    /// passes the shard plan's node ranges). Independent of where the
+    /// lanes are mounted: the wheel only touches per-node stream state
+    /// (`rng`, `proc`, source queues), which the lane banks never carry.
+    pub(super) fn enter_wheel(&mut self, starts: &[usize]) {
         debug_assert!(self.wheel.is_none(), "wheel already mounted");
         debug_assert_eq!(starts.first(), Some(&0), "partition must start at 0");
         debug_assert_eq!(
@@ -166,12 +165,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
             }
         }
         self.wheel = Some(w);
-    }
-
-    /// The trivial one-part partition used by the serial wheel
-    /// steppers.
-    fn serial_partition(&self) -> [usize; 2] {
-        [0, self.w.num_nodes]
     }
 
     /// Record node `n`'s canonical stream state as of cycle `from`
@@ -213,27 +206,28 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         }
     }
 
-    /// Execute one clock cycle in wheel mode, mounting banks and wheel
-    /// on first use. Bit-identical to [`Engine::step`].
-    pub fn step_wheel(&mut self) {
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
+    /// Mount the serial (one-part) wheel unless one is mounted. A wheel
+    /// left behind by a sharded run is kept as-is: any partition is
+    /// equally correct under any stepper.
+    fn ensure_wheel(&mut self) {
         if self.wheel.is_none() {
-            // Any mounted partition is equally correct under any
-            // stepper, so a wheel left behind by a sharded run is kept
-            // as-is; only a missing wheel mounts the trivial partition.
-            self.enter_wheel(&self.serial_partition());
+            self.enter_wheel(&[0, self.w.num_nodes]);
         }
-        let mut b = self.soa.take().expect("banks mounted above");
+    }
+
+    /// Execute one clock cycle in wheel mode, mounting the wheel on
+    /// first use. Bit-identical to [`Engine::step`].
+    pub fn step_wheel(&mut self) {
+        self.ensure_wheel();
+        let mut b = std::mem::take(&mut self.banks);
         let mut w = self.wheel.take().expect("wheel mounted above");
         self.wheel_step_inner(&mut b, &mut w);
-        self.soa = Some(b);
+        self.banks = b;
         self.wheel = Some(w);
     }
 
-    /// One cycle over mounted banks and wheel: the SoA phases 1–3 plus
-    /// the wheel-driven injection phase.
+    /// One cycle over the banks and a mounted wheel: the phases 1–3 of
+    /// [`Engine::step`] plus the wheel-driven injection phase.
     fn wheel_step_inner(&mut self, b: &mut SoaBanks, w: &mut WheelState) {
         self.moves_this_cycle = 0;
         if F::ACTIVE {
@@ -243,14 +237,21 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
         self.soa_phase_node_link(b);
         // Replies enter the receiving node's source queue this cycle;
         // the injection phase below must visit those nodes.
-        for &req in &self.reply_buf {
-            w.backlog.insert(self.packets[req as usize].dest as usize);
-        }
+        self.wheel_note_replies(w);
         self.spawn_replies();
         self.soa_phase_xbar(b);
         self.soa_phase_route(b);
-        self.wheel_phase_injection(Some(b), w);
+        self.wheel_phase_injection(w, |eng, n, created| eng.soa_inject_node(b, n, created));
         self.end_cycle();
+    }
+
+    /// Put the receivers of this cycle's pending replies on the wheel
+    /// backlog: the replies enter their source queues when spawned, so
+    /// the injection phase must visit those nodes.
+    pub(super) fn wheel_note_replies(&self, w: &mut WheelState) {
+        for &req in &self.reply_buf {
+            w.backlog.insert(self.packets[req as usize].dest as usize);
+        }
     }
 
     /// Drain the current cycle's wheel slot — every part's — into the
@@ -293,14 +294,13 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
 
     /// Phase 4, wheel-driven: visit — in ascending node order, exactly
     /// like the full scan — the union of this cycle's firing nodes and
-    /// the backlog, running the shared injection body on each. Runs
-    /// over mounted SoA banks (`Some`) or the array-of-structs layout
-    /// (`None`, the wheel-sharded stepper) — the two injection bodies
-    /// are line-for-line twins.
+    /// the backlog, running the injection body `inject(engine, node,
+    /// created)` on each: the banks' body serially, the mounted
+    /// partition's under the wheel-sharded stepper.
     pub(super) fn wheel_phase_injection(
         &mut self,
-        mut b: Option<&mut SoaBanks>,
         w: &mut WheelState,
+        mut inject: impl FnMut(&mut Self, usize, Option<u32>),
     ) {
         let cycle = self.cycle;
         self.wheel_drain_slot(w, cycle, true);
@@ -327,10 +327,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 } else {
                     None
                 };
-                match b.as_mut() {
-                    Some(banks) => self.soa_inject_node(banks, n, created),
-                    None => self.inject_node(n, created),
-                }
+                inject(self, n, created);
                 let ns = &self.nodes[n];
                 if !ns.src_queue.is_empty() || ns.active.is_some() {
                     w.backlog.insert(n);
@@ -356,7 +353,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// transition. Each skipped cycle performs exactly the observable
     /// work of an empty stepped cycle: the probe's `cycle_end` and the
     /// cycle increment.
-    fn wheel_skip_idle(&mut self, target: u32) {
+    pub(super) fn wheel_skip_idle(&mut self, target: u32) {
         let Some(mut w) = self.wheel.take() else {
             return;
         };
@@ -386,12 +383,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// fast-forwarding over idle stretches (skipped cycles count
     /// against the budget, exactly as if they had been stepped).
     pub fn run_wheel(&mut self, cycles: u32) {
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
-        if self.wheel.is_none() {
-            self.enter_wheel(&self.serial_partition());
-        }
+        self.ensure_wheel();
         let target = self.cycle + cycles;
         while self.cycle < target {
             self.wheel_skip_idle(target);
@@ -406,12 +398,7 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
     /// instead of panicking, mirroring [`Engine::run_checked`].
     pub fn run_checked_wheel(&mut self, cycles: u32) -> Result<(), Stall> {
         self.report_stall = true;
-        if self.soa.is_none() {
-            self.enter_soa();
-        }
-        if self.wheel.is_none() {
-            self.enter_wheel(&self.serial_partition());
-        }
+        self.ensure_wheel();
         let target = self.cycle + cycles;
         while self.cycle < target {
             self.wheel_skip_idle(target);
@@ -419,107 +406,6 @@ impl<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel> Engine<'_, A, P, F> 
                 break;
             }
             self.step_wheel();
-            if let Some(s) = self.stall {
-                return Err(s);
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute one clock cycle with the wheel×shards composition: the
-    /// sharded stepper's parallel phases 1–3 over the canonical
-    /// array-of-structs layout, with the injection phase driven by a
-    /// calendar wheel partitioned along the plan's node ranges.
-    /// Bit-identical to [`Engine::step`] (and hence to every other
-    /// stepper) for any shard/thread count; `shards <= 1` *is*
-    /// [`Engine::step_wheel`].
-    pub fn step_wheel_sharded(&mut self, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        if plan.shards() <= 1 {
-            self.step_wheel();
-            return;
-        }
-        // The sharded phases walk the per-router structs: write any
-        // mounted SoA banks back, but — unlike `to_aos` — KEEP the
-        // wheel. The wheel only carries per-node stream state, which
-        // is layout-independent, and resyncing it every cycle would
-        // cost a full rescan.
-        if let Some(banks) = self.soa.take() {
-            self.soa_write_back(banks);
-        }
-        // (Re)mount the wheel on the plan's node partition. A mounted
-        // wheel with a different partition is replayed away first; the
-        // resync-and-remount round-trip is bit-identical because the
-        // wheel is a pure per-node RNG time shift.
-        let mounted = self
-            .wheel
-            .as_ref()
-            .is_some_and(|w| w.partitioned_as(plan.node_starts()));
-        if !mounted {
-            if self.wheel.is_some() {
-                self.wheel_resync();
-            }
-            self.enter_wheel(plan.node_starts());
-        }
-
-        self.moves_this_cycle = 0;
-        if F::ACTIVE {
-            self.begin_fault_cycle();
-        }
-
-        self.shard_phase_link(plan);
-        self.link_barrier(plan); // feeds the wheel backlog with replies
-        self.shard_phase_xbar(plan);
-        self.xbar_barrier(plan);
-        self.shard_phase_route_prepare(plan);
-        self.apply_route_decisions(plan);
-        // Injection: wheel-driven and serial (it already touches only
-        // the firing and backlogged nodes), over the AoS layout.
-        let mut w = self.wheel.take().expect("wheel mounted above");
-        self.wheel_phase_injection(None, &mut w);
-        self.wheel = Some(w);
-
-        self.end_cycle();
-    }
-
-    /// Advance by `cycles` clocks with [`Engine::step_wheel_sharded`],
-    /// fast-forwarding over idle stretches exactly like
-    /// [`Engine::run_wheel`] (the skip predicate spans every wheel
-    /// part, so the minimum next-fire across shards bounds the jump).
-    pub fn run_wheel_sharded(&mut self, cycles: u32, plan: &mut ShardPlan)
-    where
-        F: Sync,
-    {
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            self.wheel_skip_idle(target);
-            if self.cycle >= target {
-                break;
-            }
-            self.step_wheel_sharded(plan);
-        }
-    }
-
-    /// [`Engine::run_wheel_sharded`] with the watchdog reporting a
-    /// [`Stall`] instead of panicking.
-    pub fn run_checked_wheel_sharded(
-        &mut self,
-        cycles: u32,
-        plan: &mut ShardPlan,
-    ) -> Result<(), Stall>
-    where
-        F: Sync,
-    {
-        self.report_stall = true;
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            self.wheel_skip_idle(target);
-            if self.cycle >= target {
-                break;
-            }
-            self.step_wheel_sharded(plan);
             if let Some(s) = self.stall {
                 return Err(s);
             }
@@ -548,23 +434,23 @@ mod tests {
     }
 
     #[test]
-    fn wheel_step_matches_active_step_exactly() {
+    fn wheel_step_matches_reference_step_exactly() {
         let cube = CubeDuato::new(KAryNCube::new(4, 2));
         let tree = TreeAdaptive::new(KAryNTree::new(2, 3), 2);
         fn check<Algo: RoutingAlgorithm>(algo: &Algo, rate: f64) {
             let mk = move |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(rate)) };
-            let (mut active, mut wheel) = engine_pair(algo, &mk, 77);
+            let (mut refr, mut wheel) = engine_pair(algo, &mk, 77);
             for cycle in 0..1500 {
-                active.step();
+                refr.step_reference();
                 wheel.step_wheel();
                 if cycle % 128 == 0 {
-                    assert_eq!(active.counters(), wheel.counters(), "cycle {cycle}");
-                    assert_eq!(active.packets(), wheel.packets(), "cycle {cycle}");
+                    assert_eq!(refr.counters(), wheel.counters(), "cycle {cycle}");
+                    assert_eq!(refr.packets(), wheel.packets(), "cycle {cycle}");
                 }
             }
-            assert_eq!(active.counters(), wheel.counters());
-            assert_eq!(active.packets(), wheel.packets());
-            assert_eq!(active.state_hash(), wheel.state_hash());
+            assert_eq!(refr.counters(), wheel.counters());
+            assert_eq!(refr.packets(), wheel.packets());
+            assert_eq!(refr.state_hash(), wheel.state_hash());
         }
         check(&cube, 0.01);
         check(&cube, 0.08); // saturating
@@ -578,16 +464,16 @@ mod tests {
         // still match the stepped run, including mid-run hashes.
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.0005)) };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 9);
+        let (mut refr, mut wheel) = engine_pair(&algo, &mk, 9);
         for _ in 0..8 {
-            active.run(2500);
+            refr.run_reference(2500);
             wheel.run_wheel(2500);
-            assert_eq!(active.cycle(), wheel.cycle());
-            assert_eq!(active.counters(), wheel.counters());
-            assert_eq!(active.state_hash(), wheel.state_hash());
+            assert_eq!(refr.cycle(), wheel.cycle());
+            assert_eq!(refr.counters(), wheel.counters());
+            assert_eq!(refr.state_hash(), wheel.state_hash());
         }
-        assert!(active.counters().delivered_packets > 0, "want traffic");
-        assert_eq!(active.packets(), wheel.packets());
+        assert!(refr.counters().delivered_packets > 0, "want traffic");
+        assert_eq!(refr.packets(), wheel.packets());
     }
 
     #[test]
@@ -604,12 +490,12 @@ mod tests {
                 _ => Box::new(Bernoulli::new(0.0)),  // forever idle
             }
         };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 15);
-        active.run(6000);
+        let (mut refr, mut wheel) = engine_pair(&algo, &mk, 15);
+        refr.run_reference(6000);
         wheel.run_wheel(6000);
-        assert_eq!(active.counters(), wheel.counters());
-        assert_eq!(active.packets(), wheel.packets());
-        assert_eq!(active.state_hash(), wheel.state_hash());
+        assert_eq!(refr.counters(), wheel.counters());
+        assert_eq!(refr.packets(), wheel.packets());
+        assert_eq!(refr.state_hash(), wheel.state_hash());
     }
 
     #[test]
@@ -619,10 +505,9 @@ mod tests {
         let (mut pure, mut mixed) = engine_pair(&algo, &mk, 5);
         for cycle in 0..1200 {
             pure.step();
-            match cycle % 4 {
+            match cycle % 3 {
                 0 => mixed.step_wheel(),
-                1 => mixed.step_soa(),
-                2 => mixed.step(),
+                1 => mixed.step(),
                 _ => mixed.step_reference(),
             }
             if cycle % 203 == 0 {
@@ -639,17 +524,17 @@ mod tests {
     fn wheel_handles_request_reply_and_throttle() {
         let algo = CubeDuato::new(KAryNCube::new(4, 2));
         let mk = |_| -> Box<dyn InjectionProcess> { Box::new(Bernoulli::new(0.04)) };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 21);
-        for eng in [&mut active, &mut wheel] {
+        let (mut refr, mut wheel) = engine_pair(&algo, &mk, 21);
+        for eng in [&mut refr, &mut wheel] {
             eng.set_request_reply(true);
             eng.set_injection_limit(Some(4));
         }
-        active.run(1000);
+        refr.run_reference(1000);
         wheel.run_wheel(1000);
-        assert!(active.counters().delivered_packets > 0);
-        assert_eq!(active.counters(), wheel.counters());
-        assert_eq!(active.packets(), wheel.packets());
-        assert_eq!(active.state_hash(), wheel.state_hash());
+        assert!(refr.counters().delivered_packets > 0);
+        assert_eq!(refr.counters(), wheel.counters());
+        assert_eq!(refr.packets(), wheel.packets());
+        assert_eq!(refr.state_hash(), wheel.state_hash());
     }
 
     #[test]
@@ -665,13 +550,13 @@ mod tests {
                 Box::new(Bernoulli::new(0.0))
             }
         };
-        let (mut active, mut wheel) = engine_pair(&algo, &mk, 33);
-        active.run(3700);
+        let (mut refr, mut wheel) = engine_pair(&algo, &mk, 33);
+        refr.run_reference(3700);
         wheel.run_wheel(3700);
-        assert!(active.counters().delivered_packets > 0);
-        assert_eq!(active.counters().in_flight_flits, 0, "network drained");
-        assert_eq!(active.counters(), wheel.counters());
-        assert_eq!(active.packets(), wheel.packets());
-        assert_eq!(active.state_hash(), wheel.state_hash());
+        assert!(refr.counters().delivered_packets > 0);
+        assert_eq!(refr.counters().in_flight_flits, 0, "network drained");
+        assert_eq!(refr.counters(), wheel.counters());
+        assert_eq!(refr.packets(), wheel.packets());
+        assert_eq!(refr.state_hash(), wheel.state_hash());
     }
 }

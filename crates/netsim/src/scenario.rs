@@ -43,7 +43,9 @@
 
 #![deny(missing_docs)]
 
+use crate::engine::MAX_LANES_PER_ROUTER;
 use crate::fault::{FaultPlan, NoFaults};
+use crate::queue::MAX_DEPTH;
 use crate::sim::{
     run_simulation_controlled, run_simulation_faulted_sharded, run_simulation_faulted_stepped,
     InjectionSpec, ResumeError, RunControl, SimConfig, SimError, SimOutcome, Stepper,
@@ -589,10 +591,10 @@ impl ScenarioBuilder {
     /// axis: every choice produces bit-identical outcomes, manifests,
     /// and traces (gated by the `engine_equivalence` tests), so it is
     /// deliberately absent from [`Scenario::manifest`] and
-    /// [`Scenario::state_ident`]. Default: [`Stepper::Active`].
-    /// `shards > 1` composes with the active and wheel steppers;
-    /// combining it with the SoA or reference stepper is rejected at
-    /// build time (neither has a sharded composition).
+    /// [`Scenario::state_ident`]. Default: [`Stepper::Soa`].
+    /// `shards > 1` composes with the soa and wheel steppers;
+    /// combining it with the reference stepper is rejected at build
+    /// time (it has no sharded composition).
     pub fn stepper(mut self, s: Stepper) -> Self {
         self.stepper = Some(s);
         self
@@ -706,18 +708,22 @@ impl ScenarioBuilder {
                 )));
             }
         }
-        let run_length = self.run_length.unwrap_or_else(RunLength::paper);
-        if run_length.warmup >= run_length.total {
-            return Err(ScenarioError::BadParameter(format!(
-                "warm-up ({}) must be shorter than the run ({})",
-                run_length.warmup, run_length.total
+        // Resource limit of the engine: one `u64` lane mask per router.
+        let ports = topology.build().ports(topology::RouterId(0));
+        if ports * vcs > MAX_LANES_PER_ROUTER {
+            return Err(ScenarioError::BadVcs(format!(
+                "{vcs} virtual channels on {ports}-port routers make {} lanes per router \
+                 (the engine supports at most {MAX_LANES_PER_ROUTER})",
+                ports * vcs
             )));
         }
+        let run_length = self.run_length.unwrap_or_else(RunLength::paper);
+        check_run_length(run_length)?;
         let buffer_depth = self.buffer_depth.unwrap_or(4);
-        if buffer_depth == 0 {
-            return Err(ScenarioError::BadParameter(
-                "buffer depth must be >= 1".into(),
-            ));
+        if !(1..=MAX_DEPTH).contains(&buffer_depth) {
+            return Err(ScenarioError::BadParameter(format!(
+                "buffer depth must be in 1..={MAX_DEPTH} flits, got {buffer_depth}"
+            )));
         }
         let packet_bytes = self
             .packet_bytes
@@ -734,9 +740,9 @@ impl ScenarioBuilder {
             ));
         }
         let stepper = self.stepper.unwrap_or_default();
-        if shards > 1 && !matches!(stepper, Stepper::Active | Stepper::Wheel) {
+        if shards > 1 && !stepper.shardable() {
             return Err(ScenarioError::BadParameter(format!(
-                "sharded runs compose with the active or wheel stepper only \
+                "sharded runs compose with the soa or wheel stepper only \
                  (got stepper {stepper} with {shards} shards)"
             )));
         }
@@ -784,6 +790,18 @@ impl ScenarioBuilder {
 
 /// The physical wiring of a topology spec (used to validate and
 /// compile fault plans).
+/// A run must measure something: the warm-up has to end before the run
+/// does.
+fn check_run_length(len: RunLength) -> Result<(), ScenarioError> {
+    if len.warmup >= len.total {
+        return Err(ScenarioError::BadParameter(format!(
+            "warm-up ({}) must be shorter than the run ({})",
+            len.warmup, len.total
+        )));
+    }
+    Ok(())
+}
+
 fn wiring_of(t: TopologySpec) -> Wiring {
     // Table-driven through the family registry: one builder per family,
     // so a new family needs no arm here at all.
@@ -866,8 +884,8 @@ impl Scenario {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "shard count must be >= 1");
         assert!(
-            shards <= 1 || matches!(self.stepper, Stepper::Active | Stepper::Wheel),
-            "sharded runs compose with the active or wheel stepper only \
+            shards <= 1 || self.stepper.shardable(),
+            "sharded runs compose with the soa or wheel stepper only \
              (got stepper {} with {shards} shards)",
             self.stepper
         );
@@ -886,13 +904,13 @@ impl Scenario {
     /// [`ScenarioBuilder::stepper`]).
     ///
     /// # Panics
-    /// Panics when combined with `shards > 1` and a stepper with no
-    /// sharded composition — SoA or reference (the builder rejects
-    /// those combinations too).
+    /// Panics when combined with `shards > 1` and the reference
+    /// stepper, which has no sharded composition (the builder rejects
+    /// that combination too).
     pub fn with_stepper(mut self, stepper: Stepper) -> Self {
         assert!(
-            self.shards <= 1 || matches!(stepper, Stepper::Active | Stepper::Wheel),
-            "sharded runs compose with the active or wheel stepper only \
+            self.shards <= 1 || stepper.shardable(),
+            "sharded runs compose with the soa or wheel stepper only \
              (got stepper {stepper} with {} shards)",
             self.shards
         );
@@ -915,10 +933,22 @@ impl Scenario {
     }
 
     /// Same scenario with a different run length.
-    pub fn with_run_length(mut self, len: RunLength) -> Self {
-        assert!(len.warmup < len.total);
+    ///
+    /// # Panics
+    /// Panics unless the warm-up is shorter than the run (see
+    /// [`Scenario::try_with_run_length`]).
+    pub fn with_run_length(self, len: RunLength) -> Self {
+        self.try_with_run_length(len)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Same scenario with a different run length, or
+    /// [`ScenarioError::BadParameter`] if the warm-up is not shorter
+    /// than the run.
+    pub fn try_with_run_length(mut self, len: RunLength) -> Result<Self, ScenarioError> {
+        check_run_length(len)?;
         self.run_length = len;
-        self
+        Ok(self)
     }
 
     /// Same scenario with a different seeding policy.
@@ -2067,11 +2097,11 @@ mod tests {
 
     #[test]
     fn stepper_is_an_execution_detail() {
-        // Default active, carried by the builder and with_stepper, and
+        // Default soa, carried by the builder and with_stepper, and
         // deliberately absent from the manifest and the state ident
         // (bit-identical runs must share checkpoints and manifests).
         let base = named("cube-duato-tiny").unwrap();
-        assert_eq!(base.stepper(), Stepper::Active);
+        assert_eq!(base.stepper(), Stepper::Soa);
         let wheeled = base.clone().with_stepper(Stepper::Wheel);
         assert_eq!(wheeled.stepper(), Stepper::Wheel);
         assert_eq!(
@@ -2082,17 +2112,17 @@ mod tests {
         let built = must(
             Scenario::builder()
                 .topology(TopologySpec::cube(4, 2))
-                .stepper(Stepper::Soa),
+                .stepper(Stepper::Wheel),
         );
-        assert_eq!(built.stepper(), Stepper::Soa);
+        assert_eq!(built.stepper(), Stepper::Wheel);
         // Every stepper agrees on the outcome, bit for bit.
-        let active = base.simulate(0.3);
-        for s in [Stepper::Soa, Stepper::Wheel] {
+        let default = base.simulate(0.3);
+        for s in [Stepper::Wheel, Stepper::Reference] {
             let alt = base.clone().with_stepper(s).simulate(0.3);
-            assert_eq!(active.delivered_packets, alt.delivered_packets);
-            assert_eq!(active.created_packets, alt.created_packets);
+            assert_eq!(default.delivered_packets, alt.delivered_packets);
+            assert_eq!(default.created_packets, alt.created_packets);
             assert_eq!(
-                active.accepted_fraction.to_bits(),
+                default.accepted_fraction.to_bits(),
                 alt.accepted_fraction.to_bits()
             );
         }
@@ -2121,16 +2151,21 @@ mod tests {
     }
 
     #[test]
-    fn soa_and_reference_do_not_compose_with_shards() {
-        for stepper in [Stepper::Soa, Stepper::Reference] {
-            let err = Scenario::builder()
+    fn reference_does_not_compose_with_shards() {
+        let err = Scenario::builder()
+            .topology(TopologySpec::cube(4, 2))
+            .shards(2)
+            .stepper(Stepper::Reference)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::BadParameter(_)), "{err}");
+        let soa = must(
+            Scenario::builder()
                 .topology(TopologySpec::cube(4, 2))
                 .shards(2)
-                .stepper(stepper)
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, ScenarioError::BadParameter(_)), "{err}");
-        }
+                .stepper(Stepper::Soa),
+        );
+        assert_eq!((soa.shards(), soa.stepper()), (2, Stepper::Soa));
     }
 
     #[test]

@@ -486,13 +486,11 @@ pub fn run_simulation_faulted<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultMo
 /// any stepper.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Stepper {
-    /// The worklist-driven stepper ([`Engine::step`]) — the default.
+    /// The worklist-driven mask scans over the engine's lane banks
+    /// ([`Engine::step`]) — the default and the fastest serial mode.
     #[default]
-    Active,
-    /// Struct-of-arrays lane banks ([`Engine::step_soa`]): the same
-    /// worklist walk, but over flat depth-packed banks.
     Soa,
-    /// Event-wheel injection scheduling over the SoA banks
+    /// Event-wheel injection scheduling over the same banks
     /// ([`Engine::step_wheel`]): additionally fast-forwards across
     /// cycles in which nothing can happen.
     Wheel,
@@ -504,21 +502,21 @@ pub enum Stepper {
 
 impl Stepper {
     /// Every stepper, in documentation order.
-    pub const ALL: [Stepper; 4] = [
-        Stepper::Active,
-        Stepper::Soa,
-        Stepper::Wheel,
-        Stepper::Reference,
-    ];
+    pub const ALL: [Stepper; 3] = [Stepper::Soa, Stepper::Wheel, Stepper::Reference];
 
-    /// The CLI / display name (`active`, `soa`, `wheel`, `reference`).
+    /// The CLI / display name (`soa`, `wheel`, `reference`).
     pub fn name(self) -> &'static str {
         match self {
-            Stepper::Active => "active",
             Stepper::Soa => "soa",
             Stepper::Wheel => "wheel",
             Stepper::Reference => "reference",
         }
+    }
+
+    /// Whether runs on this stepper can be decomposed into shards (the
+    /// reference oracle is deliberately serial and naive).
+    pub fn shardable(self) -> bool {
+        !matches!(self, Stepper::Reference)
     }
 }
 
@@ -532,12 +530,13 @@ impl std::str::FromStr for Stepper {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s == "active" {
+            return Err("stepper \"active\" was removed; soa is the default".to_string());
+        }
         Stepper::ALL
             .into_iter()
             .find(|st| st.name() == s)
-            .ok_or_else(|| {
-                format!("unknown stepper {s:?} (expected active, soa, wheel, or reference)")
-            })
+            .ok_or_else(|| format!("unknown stepper {s:?} (expected soa, wheel, or reference)"))
     }
 }
 
@@ -552,8 +551,7 @@ fn run_stepped<A: RoutingAlgorithm + ?Sized, P: Probe, F: FaultModel>(
     cycles: u32,
 ) -> Result<(), Stall> {
     match stepper {
-        Stepper::Active => eng.run_checked(cycles),
-        Stepper::Soa => eng.run_checked_soa(cycles),
+        Stepper::Soa => eng.run_checked(cycles),
         Stepper::Wheel => eng.run_checked_wheel(cycles),
         #[cfg(any(test, feature = "reference-engine"))]
         Stepper::Reference => eng.run_checked_reference(cycles),
@@ -580,13 +578,12 @@ pub fn run_simulation_faulted_stepped<A: RoutingAlgorithm + ?Sized, P: Probe, F:
 }
 
 /// One sharded measurement segment under the chosen stepper: the
-/// active-set stepper runs [`Engine::run_checked_sharded`], the wheel
-/// the composed [`Engine::run_checked_wheel_sharded`].
+/// default stepper runs [`Engine::run_checked_sharded`], the wheel the
+/// composed [`Engine::run_checked_wheel_sharded`].
 ///
 /// # Panics
-/// Panics for [`Stepper::Soa`] and [`Stepper::Reference`], which have
-/// no sharded composition (the SoA banks are one flat layout; the
-/// reference oracle is deliberately naive).
+/// Panics for [`Stepper::Reference`], which has no sharded composition
+/// (the reference oracle is deliberately naive).
 fn run_stepped_sharded<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
     eng: &mut Engine<'_, A, P, F>,
     stepper: Stepper,
@@ -597,24 +594,24 @@ where
     F: FaultModel + Sync,
 {
     match stepper {
-        Stepper::Active => eng.run_checked_sharded(cycles, plan),
+        Stepper::Soa => eng.run_checked_sharded(cycles, plan),
         Stepper::Wheel => eng.run_checked_wheel_sharded(cycles, plan),
-        Stepper::Soa | Stepper::Reference => {
-            panic!("sharded runs compose with the active or wheel stepper only (got {stepper})")
+        Stepper::Reference => {
+            panic!("sharded runs compose with the soa or wheel stepper only (got {stepper})")
         }
     }
 }
 
 /// [`run_simulation_faulted`] on the sharded stepper: the run is
 /// decomposed into `shards` domains stepped by `threads` worker threads
-/// (see [`Engine::shard_plan`]), under [`Stepper::Active`] or — the
+/// (see [`Engine::shard_plan`]), under [`Stepper::Soa`] or — the
 /// wheel×shards composition — [`Stepper::Wheel`]. Bit-identical to the
 /// serial run for every shard/thread/stepper combination; `shards <= 1`
 /// *is* the serial run.
 ///
 /// # Panics
-/// Panics for [`Stepper::Soa`] and [`Stepper::Reference`], which do
-/// not compose with domain decomposition.
+/// Panics for [`Stepper::Reference`], which does not compose with
+/// domain decomposition.
 pub fn run_simulation_faulted_sharded<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
     algo: &A,
     cfg: &SimConfig,
@@ -640,13 +637,12 @@ where
 /// that stepper (bit-identical every way). With `RunControl::new(ident)`
 /// this *is* the plain run; resuming from a mid-run [`RunSnapshot`] and
 /// finishing is bit-identical to the uninterrupted run — under any
-/// stepper, since snapshots capture canonical state and the wheel/SoA
-/// banks are rebuilt lazily after restore.
+/// stepper, since snapshots capture canonical state and the wheel is
+/// rebuilt lazily after restore.
 ///
 /// # Panics
-/// Panics if `shards > 1` is combined with [`Stepper::Soa`] or
-/// [`Stepper::Reference`] — only the active-set and wheel steppers
-/// compose with domain decomposition.
+/// Panics if `shards > 1` is combined with [`Stepper::Reference`] —
+/// only the soa and wheel steppers compose with domain decomposition.
 #[allow(clippy::too_many_arguments)]
 pub fn run_simulation_controlled<A: RoutingAlgorithm + ?Sized, P: Probe, F>(
     algo: &A,
@@ -662,8 +658,8 @@ where
     F: FaultModel + Sync,
 {
     assert!(
-        shards <= 1 || matches!(stepper, Stepper::Active | Stepper::Wheel),
-        "sharded runs compose with the active or wheel stepper only \
+        shards <= 1 || stepper.shardable(),
+        "sharded runs compose with the soa or wheel stepper only \
          (got --stepper {stepper} with {shards} shards)"
     );
     if shards <= 1 {
@@ -1051,7 +1047,7 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
+            Stepper::Soa,
             &mut ctl,
         )
         .unwrap();
@@ -1078,7 +1074,7 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
+            Stepper::Soa,
             &mut ctl,
         )
         .unwrap();
@@ -1099,7 +1095,7 @@ mod tests {
                 NoFaults,
                 1,
                 1,
-                Stepper::Active,
+                Stepper::Soa,
                 &mut ctl,
             )
             .unwrap();
@@ -1128,7 +1124,7 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
+            Stepper::Soa,
             &mut ctl,
         )
         .unwrap();
@@ -1144,7 +1140,7 @@ mod tests {
             NoFaults,
             1,
             1,
-            Stepper::Active,
+            Stepper::Soa,
             &mut ctl,
         )
         .unwrap_err();

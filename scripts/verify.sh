@@ -10,11 +10,6 @@ cargo fmt --all -- --check
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo build --release -p netsim --features scalar-scan"
-# The portable fallback build: SIMD scans forced to their scalar twins
-# at compile time. Must always build so the wide path can't rot it.
-cargo build --release -p netsim --features scalar-scan
-
 echo "==> cargo test -q"
 cargo test -q
 
@@ -484,46 +479,49 @@ EOF
 
 echo "==> stepper-equivalence smoke"
 # Steppers are execution details behind the bit-identity contract: the
-# CSV from --stepper wheel / soa must be byte-identical to the default
-# active-set run's, and the manifest identical up to wall-clock time.
+# CSV from --stepper wheel / reference and from the wheel x 4-shard
+# composition must be byte-identical to the default (soa) run's, and
+# the manifest identical up to wall-clock time. The reference stepper
+# is compiled in through the bench crate's reference-engine feature,
+# which a workspace build unifies into the netperf binary.
+cargo build --release --workspace -q
 STEP_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$TRACE_DIR" "$FAULT_DIR" "$SHARD_DIR" "$DESIGN_DIR" "$SERVE_DIR" "$STEP_DIR"' EXIT
-for mode in active soa wheel; do
+mkdir -p "$STEP_DIR/default"
+( cd "$STEP_DIR/default" && "$NP" run cube-duato-tiny --load 0.4 --quick \
+    --csv run.csv > stdout.txt )
+for mode in wheel reference wheel-sharded; do
+  case "$mode" in
+    wheel-sharded) flags=(--stepper wheel --shards 4) ;;
+    *) flags=(--stepper "$mode") ;;
+  esac
   mkdir -p "$STEP_DIR/$mode"
   ( cd "$STEP_DIR/$mode" && "$NP" run cube-duato-tiny --load 0.4 --quick \
-      --stepper "$mode" --csv run.csv > stdout.txt )
-done
-for mode in soa wheel; do
-  cmp "$STEP_DIR/active/run.csv" "$STEP_DIR/$mode/run.csv" \
-    || { echo "stepper smoke: --stepper $mode CSV differs from active" >&2; exit 1; }
-  diff <(grep -v '"wall_clock_secs"' "$STEP_DIR/active/run.manifest.json") \
+      "${flags[@]}" --csv run.csv > stdout.txt )
+  cmp "$STEP_DIR/default/run.csv" "$STEP_DIR/$mode/run.csv" \
+    || { echo "stepper smoke: ${flags[*]} CSV differs from the default" >&2; exit 1; }
+  diff <(grep -v '"wall_clock_secs"' "$STEP_DIR/default/run.manifest.json") \
        <(grep -v '"wall_clock_secs"' "$STEP_DIR/$mode/run.manifest.json") \
-    || { echo "stepper smoke: --stepper $mode manifest differs from active" >&2; exit 1; }
+    || { echo "stepper smoke: ${flags[*]} manifest differs from the default" >&2; exit 1; }
 done
-# The wheel stepper composes with sharding: --stepper wheel --shards 4
-# must produce the exact serial artifacts too.
-mkdir -p "$STEP_DIR/wheel-sharded"
-( cd "$STEP_DIR/wheel-sharded" && "$NP" run cube-duato-tiny --load 0.4 --quick \
-    --stepper wheel --shards 4 --csv run.csv > stdout.txt )
-cmp "$STEP_DIR/active/run.csv" "$STEP_DIR/wheel-sharded/run.csv" \
-  || { echo "stepper smoke: --stepper wheel --shards 4 CSV differs from serial" >&2; exit 1; }
-diff <(grep -v '"wall_clock_secs"' "$STEP_DIR/active/run.manifest.json") \
-     <(grep -v '"wall_clock_secs"' "$STEP_DIR/wheel-sharded/run.manifest.json") \
-  || { echo "stepper smoke: --stepper wheel --shards 4 manifest differs from serial" >&2; exit 1; }
-# A bogus stepper name and the soa/reference x shards conflict must
-# both fail structured: exit 2, one "error:" line.
-if "$NP" run cube-duato-tiny --quick --stepper bogus 2> "$STEP_DIR/err.txt" > /dev/null; then
-  echo "stepper smoke: --stepper bogus was accepted" >&2; exit 1
-fi
-grep -q '^error:' "$STEP_DIR/err.txt" \
-  || { echo "stepper smoke: unstructured error output" >&2; cat "$STEP_DIR/err.txt" >&2; exit 1; }
-if "$NP" run cube-duato-tiny --quick --shards 2 --stepper soa \
-    2> "$STEP_DIR/err2.txt" > /dev/null; then
-  echo "stepper smoke: --shards 2 --stepper soa was accepted" >&2; exit 1
-fi
-grep -q '^error:' "$STEP_DIR/err2.txt" \
-  || { echo "stepper smoke: unstructured error output" >&2; cat "$STEP_DIR/err2.txt" >&2; exit 1; }
-echo "stepper smoke: active, soa, wheel and wheel+4-shard artifacts are byte-identical"
+# A bogus stepper name, the removed active stepper and the
+# reference x shards conflict must all fail structured: exit 2, one
+# "error:" line.
+expect_error() {
+  local what="$1"; shift
+  local code=0
+  "$NP" run cube-duato-tiny --quick "$@" 2> "$STEP_DIR/err.txt" > /dev/null || code=$?
+  [ "$code" -eq 2 ] \
+    || { echo "stepper smoke: $what exited $code, want 2" >&2; exit 1; }
+  [ "$(wc -l < "$STEP_DIR/err.txt")" -eq 1 ] && grep -q '^error:' "$STEP_DIR/err.txt" \
+    || { echo "stepper smoke: $what: unstructured error" >&2; cat "$STEP_DIR/err.txt" >&2; exit 1; }
+}
+expect_error "--stepper bogus" --stepper bogus
+expect_error "--stepper active" --stepper active
+grep -q 'removed; soa is the default' "$STEP_DIR/err.txt" \
+  || { echo "stepper smoke: --stepper active error does not name the default" >&2; exit 1; }
+expect_error "--shards 2 --stepper reference" --shards 2 --stepper reference
+echo "stepper smoke: default, wheel, reference and wheel+4-shard artifacts are byte-identical"
 
 echo "==> bench_engine --quick schema smoke"
 # Quick mode exists for exactly this: assert the BENCH_engine.json
@@ -538,29 +536,27 @@ assert b["benchmark"].startswith("engine steppers"), b.get("benchmark")
 assert b["quick"] is True, "verify must use --quick, not the committed protocol"
 for key in ("protocol", "seed_salt", "mean_low_load_speedup", "mean_probe_overhead",
             "wheel_low_load_speedup", "wheel_saturation_speedup",
-            "wheel_drain_tail_speedup", "soa_low_load_speedup",
-            "soa_saturation_speedup", "soa_drain_tail_speedup",
-            "simd_scan_low_load_speedup", "simd_scan_saturation_speedup",
+            "wheel_drain_tail_speedup",
             "wheel_sharded_low_load_speedup", "wheel_sharded_saturation_speedup",
             "wheel_sharded_drain_tail_speedup"):
     assert key in b, f"missing summary key {key}"
 runs = b["runs"]
 assert runs, "no bench runs recorded"
 for r in runs:
-    for leg in ("optimized", "soa", "wheel", "baseline", "traced"):
+    for leg in ("optimized", "wheel", "baseline", "traced"):
         assert r[leg]["seconds"] > 0, (r["config"], leg)
         assert r[leg]["cycles_per_sec"] > 0, (r["config"], leg)
-    for leg in ("soa", "wheel", "wheel_sharded"):
-        assert r[leg]["speedup_vs_active"] > 0, (r["config"], leg)
-    assert r["soa_scalar"]["simd_speedup"] > 0, r["config"]
+    for leg in ("wheel", "wheel_sharded"):
+        assert r[leg]["speedup_vs_soa"] > 0, (r["config"], leg)
     assert r["probe_overhead"] >= 0, (r["config"], "probe_overhead must be floored at 0")
 drains = b["drain_tail"]["runs"]
 assert drains, "no drain-tail runs recorded"
 for d in drains:
-    for leg in ("soa", "wheel", "wheel_sharded"):
-        assert d[leg]["speedup_vs_active"] > 0, (d["config"], leg)
+    assert d["soa"]["cycles_per_sec"] > 0, d["config"]
+    for leg in ("wheel", "wheel_sharded"):
+        assert d[leg]["speedup_vs_soa"] > 0, (d["config"], leg)
 print(f"bench smoke: {len(runs)} quick runs + {len(drains)} drain-tail runs, "
-      "schema holds (soa/wheel/wheel_sharded/scalar legs present)")
+      "schema holds (soa/wheel/wheel_sharded/baseline/traced legs present)")
 EOF
 
 echo "verify: OK"

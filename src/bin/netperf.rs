@@ -118,11 +118,11 @@ fn usage() -> ! {
          --shards <int>              domain-decompose each run into this many shards\n\
                                      (default 1 = serial; results are bit-identical\n\
                                      for every value; clamped to the router count)\n\
-         --stepper <name>            engine stepper: active|soa|wheel|reference\n\
-                                     (default active; results are bit-identical for\n\
+         --stepper <name>            engine stepper: soa|wheel|reference\n\
+                                     (default soa; results are bit-identical for\n\
                                      every choice; see docs/PERFORMANCE.md for\n\
-                                     which to pick; active and wheel compose with\n\
-                                     --shards > 1, soa and reference do not)\n\
+                                     which to pick; soa and wheel compose with\n\
+                                     --shards > 1, reference does not)\n\
          --csv <path>                write results as CSV (+ JSON manifest)\n\
          --trace <stem>              record telemetry (alias --probe): writes\n\
                                      <stem>[.lNNN].trace.jsonl (event log),\n\
@@ -176,13 +176,23 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+/// Whether this build carries the reference stepper.
+fn reference_compiled() -> bool {
+    netperf::netsim::engine_features().contains(&("reference-engine", true))
+}
+
+/// An offered load: a fraction of capacity in `[0, 1]` (NaN refused).
+fn parse_load(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|x| (0.0..=1.0).contains(x))
+}
+
 fn parse_grid(spec: &str) -> Option<Vec<f64>> {
     let parts: Vec<f64> = spec
         .split(':')
         .map(|x| x.parse().ok())
         .collect::<Option<_>>()?;
     match parts.as_slice() {
-        [a, b, step] if *step > 0.0 && b >= a => {
+        [a, b, step] if *step > 0.0 && b >= a && *a >= 0.0 && *b <= 1.0 => {
             let mut g = Vec::new();
             let mut x = *a;
             while x <= b + 1e-9 {
@@ -391,10 +401,16 @@ fn parse_request(args: &[String], sweep: bool) -> Request {
                     .unwrap_or_else(|e| fail(&format!("bad --faults spec: {e}")));
                 faults = Some((!plan.is_empty()).then_some(plan));
             }
-            "--load" => load = val("--load").parse().unwrap_or_else(|_| fail("bad --load")),
+            "--load" => {
+                load = parse_load(val("--load"))
+                    .unwrap_or_else(|| fail("bad --load (want an offered load in [0, 1])"))
+            }
             "--sweep" | "--grid" => {
                 let g = val("--grid");
-                grid = Some(parse_grid(g).unwrap_or_else(|| fail("bad --grid (want a:b:step)")));
+                grid =
+                    Some(parse_grid(g).unwrap_or_else(|| {
+                        fail("bad --grid (want a:b:step with loads in [0, 1])")
+                    }));
             }
             "--csv" => csv = Some(val("--csv").to_string()),
             "--trace" | "--probe" => trace = Some(val("--trace").to_string()),
@@ -465,7 +481,9 @@ fn parse_request(args: &[String], sweep: bool) -> Request {
             s = s.with_pattern(p);
         }
         if let Some(len) = run_length {
-            s = s.with_run_length(len);
+            s = s
+                .try_with_run_length(len)
+                .unwrap_or_else(|e| fail(&e.to_string()));
         }
         if let Some(mode) = seed {
             s = s.with_seed(mode);
@@ -550,9 +568,15 @@ fn parse_request(args: &[String], sweep: bool) -> Request {
 
     let scenario = match stepper {
         Some(st) => {
-            if scenario.shards() > 1 && !matches!(st, Stepper::Active | Stepper::Wheel) {
+            if st == Stepper::Reference && !reference_compiled() {
+                fail(
+                    "the reference stepper is not compiled into this binary \
+                      (build with the netsim reference-engine feature)",
+                );
+            }
+            if scenario.shards() > 1 && !st.shardable() {
                 fail(&format!(
-                    "sharded runs compose with the active or wheel stepper only \
+                    "sharded runs compose with the soa or wheel stepper only \
                      (got --stepper {st} with {} shards)",
                     scenario.shards()
                 ));
@@ -1575,10 +1599,16 @@ fn legacy(args: &[String]) {
                 pattern =
                     Pattern::parse(p).unwrap_or_else(|| fail(&format!("unknown pattern {p}")));
             }
-            "--load" => load = val("--load").parse().unwrap_or_else(|_| fail("bad --load")),
+            "--load" => {
+                load = parse_load(val("--load"))
+                    .unwrap_or_else(|| fail("bad --load (want an offered load in [0, 1])"))
+            }
             "--sweep" => {
                 let g = val("--sweep");
-                sweep = Some(parse_grid(g).unwrap_or_else(|| fail("bad --sweep (want a:b:step)")));
+                sweep =
+                    Some(parse_grid(g).unwrap_or_else(|| {
+                        fail("bad --sweep (want a:b:step with loads in [0, 1])")
+                    }));
             }
             "--cycles" => {
                 cycles = val("--cycles")

@@ -4,6 +4,7 @@
 //! identical to a serial one.
 
 use netperf::netsim::sim::run_simulation;
+use netperf::netsim::Stepper;
 use netperf::prelude::*;
 use netperf::traffic::Pattern as P;
 
@@ -99,6 +100,8 @@ fn sharded_runs_are_bit_identical_at_scale() {
         });
     let load = 0.3;
 
+    // The serial base is the default (soa) stepper.
+    assert_eq!(scenario.stepper(), Stepper::Soa);
     let serial = scenario.try_simulate_sharded(load, 1, 1).unwrap();
     let serial_fp = format!("{serial:?}");
     for (shards, threads) in [(2, 1), (2, 4), (4, 1), (4, 4)] {
@@ -111,6 +114,17 @@ fn sharded_runs_are_bit_identical_at_scale() {
             "outcome diverged with {shards} shards x {threads} threads"
         );
     }
+    // The wheel×shards composition at scale.
+    let wheel_sharded = scenario
+        .clone()
+        .with_stepper(Stepper::Wheel)
+        .try_simulate_sharded(load, 2, 2)
+        .unwrap();
+    assert_eq!(
+        serial_fp,
+        format!("{wheel_sharded:?}"),
+        "outcome diverged under the wheel with 2 shards"
+    );
     assert!(
         serial.delivered_packets > 0,
         "run too short to mean anything"

@@ -1,13 +1,13 @@
-//! Observational equivalence of the active-set and sharded engines.
+//! Observational equivalence of the engine's steppers.
 //!
-//! The engine's worklist/bitmask fast path must be a pure optimization:
-//! for every one of the paper's five router configurations, at loads
-//! below, around, and above saturation, running the optimized
-//! [`Engine::step`] must produce *bit-identical* outcomes — counters
-//! and the full packet table — to the naive scan-everything
+//! The default stepper's worklist/bitmask scans must be a pure
+//! optimization: for every one of the paper's five router
+//! configurations, at loads below, around, and above saturation,
+//! running [`Engine::step`] must produce *bit-identical* outcomes —
+//! counters and the full packet table — to the naive scan-everything
 //! [`Engine::step_reference`] (compiled under the `reference-engine`
 //! feature). This is the contract the benchmark harness relies on when
-//! it reports the two steppers' throughput as comparable.
+//! it reports the steppers' throughput as comparable.
 //!
 //! The sharded stepper ([`Engine::step_sharded`]) extends the same
 //! contract one level up: for every shard count and thread count it
@@ -15,13 +15,11 @@
 //! table, *and* the telemetry event stream — including under an active
 //! fault model and a recording probe.
 //!
-//! Two further axes ride on the same contract: the SoA mask scans'
-//! portable-SIMD wide path versus its scalar twin (a runtime flag,
-//! [`Engine::set_scalar_scan`] — the chunked wheel/SoA runs below pin
-//! one engine to each path), and the wheel×shards composition
-//! ([`Engine::step_wheel_sharded`]), which must match bit for bit
-//! across healthy, faulted, and traced runs, snapshot/resume
-//! mid-drain included.
+//! The event wheel and the wheel×shards composition
+//! ([`Engine::run_wheel_sharded`]) ride on the same contract: checked
+//! against the reference oracle across healthy, faulted, and traced
+//! runs, snapshot/resume mid-drain included. The snapshot byte format
+//! itself is pinned by a fixed-value test at the end.
 
 use netsim::engine::Engine;
 use netsim::fault::{FaultPlan, FaultState};
@@ -345,18 +343,15 @@ fn sharded_matches_serial_event_stream() {
 }
 
 // ---------------------------------------------------------------------
-// Wheel and SoA steppers ≡ active stepper.
+// Default, wheel and wheel-sharded steppers ≡ reference.
 // ---------------------------------------------------------------------
 
-/// Run the active stepper against the SoA, event-wheel, and composed
-/// wheel-sharded steppers in uneven chunks (so wheel/SoA state is
-/// mounted, drained, written back and remounted mid-run) and assert
-/// bit-identical observable state: counters at every chunk boundary,
-/// the packet table and the full engine state hash at the end.
-///
-/// The SoA engine is pinned to the *scalar* twins of the wide mask
-/// scans while the wheel engines run the SIMD path, so every chunk
-/// boundary is also a simd ≡ scalar ≡ active checkpoint.
+/// Run the reference oracle against the default, event-wheel, and
+/// composed wheel-sharded steppers in uneven chunks (so the wheel and
+/// the shard partition are mounted, drained, written back and
+/// remounted mid-run) and assert bit-identical observable state:
+/// counters at every chunk boundary, the packet table and the full
+/// engine state hash at the end.
 fn assert_wheel_soa_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32, chunk: u32) {
     let len = RunLength {
         warmup: 500,
@@ -364,50 +359,42 @@ fn assert_wheel_soa_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32
     };
     let cfg = spec.config_at(traffic::Pattern::Uniform, fraction, len);
     let algo = spec.build_algorithm();
-    let mut active = build_engine(algo.as_ref(), &cfg);
+    let mut refr = build_engine(algo.as_ref(), &cfg);
     let mut soa = build_engine(algo.as_ref(), &cfg);
-    soa.set_scalar_scan(true);
     let mut wheel = build_engine(algo.as_ref(), &cfg);
-    wheel.set_scalar_scan(false);
     let mut wheel_sharded = build_engine(algo.as_ref(), &cfg);
-    wheel_sharded.set_scalar_scan(false);
     let mut plan = wheel_sharded.shard_plan(4, 2);
     let mut done = 0;
     while done < cycles {
         let n = chunk.min(cycles - done);
-        active.run(n);
-        soa.run_soa(n);
+        refr.run_reference(n);
+        soa.run(n);
         wheel.run_wheel(n);
         wheel_sharded.run_wheel_sharded(n, &mut plan);
         done += n;
         assert_eq!(
-            active.counters(),
+            refr.counters(),
             soa.counters(),
-            "{} at load {fraction}: scalar-soa counters diverged at cycle {done}",
+            "{} at load {fraction}: soa counters diverged at cycle {done}",
             spec.label()
         );
         assert_eq!(
-            active.counters(),
+            refr.counters(),
             wheel.counters(),
             "{} at load {fraction}: wheel counters diverged at cycle {done}",
             spec.label()
         );
         assert_eq!(
-            active.counters(),
+            refr.counters(),
             wheel_sharded.counters(),
             "{} at load {fraction}: wheel-sharded counters diverged at cycle {done}",
             spec.label()
         );
     }
-    assert_eq!(active.packets(), soa.packets(), "{}", spec.label());
-    assert_eq!(active.packets(), wheel.packets(), "{}", spec.label());
-    assert_eq!(
-        active.packets(),
-        wheel_sharded.packets(),
-        "{}",
-        spec.label()
-    );
-    let h = active.state_hash();
+    assert_eq!(refr.packets(), soa.packets(), "{}", spec.label());
+    assert_eq!(refr.packets(), wheel.packets(), "{}", spec.label());
+    assert_eq!(refr.packets(), wheel_sharded.packets(), "{}", spec.label());
+    let h = refr.state_hash();
     assert_eq!(h, soa.state_hash(), "{}: soa state hash", spec.label());
     assert_eq!(h, wheel.state_hash(), "{}: wheel state hash", spec.label());
     assert_eq!(
@@ -432,7 +419,7 @@ fn assert_wheel_soa_equivalent(spec: &ExperimentSpec, fraction: f64, cycles: u32
         spec.label()
     );
     assert!(
-        active.counters().delivered_packets > 0,
+        refr.counters().delivered_packets > 0,
         "{} at load {fraction}: nothing delivered",
         spec.label()
     );
@@ -455,11 +442,11 @@ fn paper_configs_wheel_soa_saturation() {
 }
 
 /// Dead links and a dead router: drops, reroutes and unroutable
-/// packets must be reproduced bit for bit by both sparse steppers
+/// packets must be reproduced bit for bit by every sparse stepper
 /// (the wheel additionally must not fast-forward over scheduled
 /// transient fault transitions).
 #[test]
-fn wheel_soa_match_active_under_faults() {
+fn wheel_soa_match_reference_under_faults() {
     let spec = &ExperimentSpec::paper_five()[0];
     let cycles = 1_500;
     let len = RunLength {
@@ -498,43 +485,38 @@ fn wheel_soa_match_active_under_faults() {
         eng.set_request_reply(cfg.request_reply);
         eng
     };
-    let mut active = build();
+    let mut refr = build();
     let mut soa = build();
-    soa.set_scalar_scan(true);
     let mut wheel = build();
     let mut wheel_sharded = build();
     let mut plan = wheel_sharded.shard_plan(4, 2);
-    active.run(cycles);
-    soa.run_soa(cycles);
+    refr.run_reference(cycles);
+    soa.run(cycles);
     wheel.run_wheel(cycles);
     wheel_sharded.run_wheel_sharded(cycles, &mut plan);
-    assert_eq!(active.counters(), soa.counters(), "faulted soa diverged");
+    assert_eq!(refr.counters(), soa.counters(), "faulted soa diverged");
+    assert_eq!(refr.counters(), wheel.counters(), "faulted wheel diverged");
     assert_eq!(
-        active.counters(),
-        wheel.counters(),
-        "faulted wheel diverged"
-    );
-    assert_eq!(
-        active.counters(),
+        refr.counters(),
         wheel_sharded.counters(),
         "faulted wheel-sharded diverged"
     );
-    assert_eq!(active.packets(), soa.packets());
-    assert_eq!(active.packets(), wheel.packets());
-    assert_eq!(active.packets(), wheel_sharded.packets());
-    let h = active.state_hash();
+    assert_eq!(refr.packets(), soa.packets());
+    assert_eq!(refr.packets(), wheel.packets());
+    assert_eq!(refr.packets(), wheel_sharded.packets());
+    let h = refr.state_hash();
     assert_eq!(h, soa.state_hash());
     assert_eq!(h, wheel.state_hash());
     assert_eq!(h, wheel_sharded.state_hash());
-    assert!(active.counters().dropped_packets + active.counters().unroutable_packets > 0);
+    assert!(refr.counters().dropped_packets + refr.counters().unroutable_packets > 0);
 }
 
 /// A recording probe observes identical event streams (compared
 /// through the JSONL serialization) under every stepper: the sparse
-/// steppers visit the same lanes in the same order as the active one,
+/// steppers visit the same lanes in the same order as the reference,
 /// and the wheel reports fast-forwarded cycles nowhere.
 #[test]
-fn wheel_soa_match_active_event_stream() {
+fn wheel_soa_match_reference_event_stream() {
     let spec = &ExperimentSpec::paper_five()[0];
     let cycles = 1_200;
     let len = RunLength {
@@ -573,28 +555,27 @@ fn wheel_soa_match_active_event_stream() {
         eng.set_request_reply(cfg.request_reply);
         eng
     };
-    let mut active = build();
+    let mut refr = build();
     let mut soa = build();
-    soa.set_scalar_scan(true);
     let mut wheel = build();
     let mut wheel_sharded = build();
     let mut plan = wheel_sharded.shard_plan(4, 2);
-    active.run(cycles);
-    soa.run_soa(cycles);
+    refr.run_reference(cycles);
+    soa.run(cycles);
     wheel.run_wheel(cycles);
     wheel_sharded.run_wheel_sharded(cycles, &mut plan);
-    assert_eq!(active.counters(), soa.counters());
-    assert_eq!(active.counters(), wheel.counters());
-    assert_eq!(active.counters(), wheel_sharded.counters());
-    let active_events = trace::events_jsonl(active.into_probe().events());
+    assert_eq!(refr.counters(), soa.counters());
+    assert_eq!(refr.counters(), wheel.counters());
+    assert_eq!(refr.counters(), wheel_sharded.counters());
+    let refr_events = trace::events_jsonl(refr.into_probe().events());
     let soa_events = trace::events_jsonl(soa.into_probe().events());
     let wheel_events = trace::events_jsonl(wheel.into_probe().events());
     let wheel_sharded_events = trace::events_jsonl(wheel_sharded.into_probe().events());
-    assert!(!active_events.is_empty(), "no events recorded");
-    assert_eq!(active_events, soa_events, "soa event stream diverged");
-    assert_eq!(active_events, wheel_events, "wheel event stream diverged");
+    assert!(!refr_events.is_empty(), "no events recorded");
+    assert_eq!(refr_events, soa_events, "soa event stream diverged");
+    assert_eq!(refr_events, wheel_events, "wheel event stream diverged");
     assert_eq!(
-        active_events, wheel_sharded_events,
+        refr_events, wheel_sharded_events,
         "wheel-sharded event stream diverged"
     );
 }
@@ -756,7 +737,7 @@ fn wheel_sharded_snapshot_resume_mid_drain() {
 }
 
 // ---------------------------------------------------------------------
-// Property: wheel ≡ active on random configurations.
+// Property: every stepper ≡ reference on random configurations.
 // ---------------------------------------------------------------------
 
 use proptest::prelude::*;
@@ -766,12 +747,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random seed, injection rate, buffer depth, VC count, topology
-    /// family and shard count: the wheel, SoA (on both the SIMD and
-    /// the scalar scan path) and wheel-sharded steppers must stay
-    /// bit-identical to the active stepper on configurations nobody
-    /// hand-picked, including the chunk-boundary remounts.
+    /// family and shard count: the default, wheel and wheel-sharded
+    /// steppers must stay bit-identical to the reference oracle on
+    /// configurations nobody hand-picked, including the chunk-boundary
+    /// remounts.
     #[test]
-    fn wheel_soa_match_active_on_random_scenarios(
+    fn wheel_soa_match_reference_on_random_scenarios(
         seed in any::<u64>(),
         rate_milli in 1u32..120,
         buf in 2usize..6,
@@ -798,38 +779,95 @@ proptest! {
                 seed,
             )
         };
-        let mut active = build();
+        let mut refr = build();
         let mut soa = build();
-        // One engine per scan path: `soa` runs the scalar twins, the
-        // wheel engines the wide ops (simd ≡ scalar ≡ active).
-        soa.set_scalar_scan(true);
         let mut wheel = build();
-        wheel.set_scalar_scan(false);
         let mut wheel_sharded = build();
-        wheel_sharded.set_scalar_scan(false);
         let mut plan = wheel_sharded.shard_plan(shards, 1);
         let cycles = 1_200u32;
         let mut done = 0;
         while done < cycles {
             let step = chunk.min(cycles - done);
-            active.run(step);
-            soa.run_soa(step);
+            refr.run_reference(step);
+            soa.run(step);
             wheel.run_wheel(step);
             wheel_sharded.run_wheel_sharded(step, &mut plan);
             done += step;
-            prop_assert_eq!(active.counters(), soa.counters(), "scalar soa diverged at {}", done);
-            prop_assert_eq!(active.counters(), wheel.counters(), "wheel diverged at {}", done);
+            prop_assert_eq!(refr.counters(), soa.counters(), "soa diverged at {}", done);
+            prop_assert_eq!(refr.counters(), wheel.counters(), "wheel diverged at {}", done);
             prop_assert_eq!(
-                active.counters(), wheel_sharded.counters(),
+                refr.counters(), wheel_sharded.counters(),
                 "wheel-sharded ({} shards) diverged at {}", plan.shards(), done
             );
         }
-        prop_assert_eq!(active.packets(), soa.packets());
-        prop_assert_eq!(active.packets(), wheel.packets());
-        prop_assert_eq!(active.packets(), wheel_sharded.packets());
-        let h = active.state_hash();
+        prop_assert_eq!(refr.packets(), soa.packets());
+        prop_assert_eq!(refr.packets(), wheel.packets());
+        prop_assert_eq!(refr.packets(), wheel_sharded.packets());
+        let h = refr.state_hash();
         prop_assert_eq!(h, soa.state_hash());
         prop_assert_eq!(h, wheel.state_hash());
         prop_assert_eq!(h, wheel_sharded.state_hash());
     }
+}
+
+// ---------------------------------------------------------------------
+// Snapshot format pin.
+// ---------------------------------------------------------------------
+
+/// The NPSN byte format and `state_hash` are a contract with every
+/// checkpoint already on disk: a fixed faulted 16-node run, snapshotted
+/// at a fixed cycle, must serialize to exactly these bytes (pinned by
+/// their FNV-1a digest and length) under every stepper. A change to the
+/// engine's in-memory layout must leave these values untouched.
+#[test]
+fn snapshot_bytes_and_state_hash_are_pinned() {
+    use routing::CubeDuato;
+    use topology::KAryNCube;
+
+    let algo = CubeDuato::new(KAryNCube::new(4, 2));
+    let plan = FaultPlan {
+        link_fraction: 0.1,
+        transient: Some(netsim::fault::TransientSpec {
+            links: 2,
+            period: 300,
+            down: 60,
+        }),
+        ..FaultPlan::default()
+    };
+    let build = || {
+        let state = plan
+            .compile(&Wiring::from_topology(algo.topology()))
+            .expect("fault plan compiles");
+        let mut eng = Engine::with_probe_and_faults(
+            &algo,
+            4,
+            8,
+            TrafficGen::new(traffic::Pattern::Uniform, 16),
+            &|_| Box::new(Bernoulli::new(0.05)) as Box<dyn InjectionProcess>,
+            0x5EED,
+            NullProbe,
+            state,
+        );
+        eng.set_request_reply(true);
+        eng.set_injection_limit(Some(4));
+        eng
+    };
+    let cycles = 900;
+    let mut runs = [build(), build(), build()];
+    runs[0].run(cycles);
+    runs[1].run_wheel(cycles);
+    runs[2].run_reference(cycles);
+    for eng in &mut runs {
+        let snap = eng.snapshot(0x16);
+        assert_eq!(snap.cycle(), cycles);
+        assert_eq!(snap.as_bytes().len(), 41_876);
+        assert_eq!(
+            netstats::cache::fnv1a(snap.as_bytes()),
+            0xd272_d938_eb86_261b
+        );
+        assert_eq!(snap.state_hash(), 0xb778_95c0_863f_1f31);
+        assert_eq!(eng.state_hash(), 0xb778_95c0_863f_1f31);
+    }
+    let c = runs[0].counters();
+    assert_eq!((c.delivered_packets, c.dropped_packets), (1026, 166));
 }
